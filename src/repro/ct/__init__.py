@@ -5,11 +5,12 @@ its low-dose training data:
 
 1. geometry definition — fan-beam (paper: SDD 1500 mm, SOD 1000 mm,
    720 views over 360°, 1024 detector pixels) and parallel-beam,
-2. Siddon's exact ray-driven forward projection (vectorized over rays),
+2. Siddon's exact ray-driven forward projection (vectorized over rays;
+   the traversal is traced once per geometry and cached),
 3. Beer's-law photon statistics with Poisson noise
    (``P_i ~ Poisson(b_i · e^{−l_i})``, blank scan ``b_i = 10⁶``),
 4. filtered back projection (FBP) reconstruction with ramp/Hann filters
-   for both geometries,
+   for both geometries (per-pixel detector positions cached per geometry),
 5. Hounsfield-unit conversions (60 keV monochromatic beam).
 """
 

@@ -5,7 +5,7 @@ iterative reconstruction; DDnet itself was introduced for *sparse-view*
 CT (Zhang et al. 2018).  This module supplies both comparators:
 
 - :func:`siddon_backproject` — the exact adjoint of the Siddon
-  projector (length-weighted scatter),
+  projector (length-weighted scatter over the same ray table),
 - :func:`sart_reconstruct` — Simultaneous Algebraic Reconstruction
   Technique with per-view sweeps and standard row/column normalization,
 - :func:`subsample_views` — derive a sparse-view geometry from a full
@@ -21,7 +21,8 @@ from typing import Union
 import numpy as np
 
 from repro.ct.geometry import FanBeamGeometry, ParallelBeamGeometry
-from repro.ct.siddon import siddon_raycast
+from repro.ct.projector import projection_tables
+from repro.ct.siddon import ray_backproject, ray_integrals, siddon_rays
 
 Geometry = Union[FanBeamGeometry, ParallelBeamGeometry]
 
@@ -33,49 +34,16 @@ def siddon_backproject(
     image_shape,
     pixel_size: float = 1.0,
 ) -> np.ndarray:
-    """Adjoint of :func:`siddon_raycast`: scatter ray values into pixels.
+    """Adjoint of :func:`~repro.ct.siddon.siddon_raycast`: scatter ray values into pixels.
 
     Each ray deposits ``value · segment_length`` into every pixel it
-    crosses, so ``<A x, y> == <x, A^T y>`` holds exactly (tested).
+    crosses.  Both directions share one traversal
+    (:func:`~repro.ct.siddon.siddon_rays`), so ``<A x, y> == <x, A^T y>``
+    holds to rounding for every ray, axis-parallel ones included (tested).
     """
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    starts = np.atleast_2d(np.asarray(starts, dtype=np.float64))
-    ends = np.atleast_2d(np.asarray(ends, dtype=np.float64))
-    ny, nx = image_shape
-    # Reuse the Siddon traversal by projecting indicator contributions:
-    # recompute the per-segment geometry exactly as the forward pass.
-    x_planes = (np.arange(nx + 1) - nx / 2.0) * pixel_size
-    y_planes = (np.arange(ny + 1) - ny / 2.0) * pixel_size
-    d = ends - starts
-    lengths = np.linalg.norm(d, axis=1)
-    safe_d = np.where(np.abs(d) < 1e-12, 1e-12, d)
-    ax = (x_planes[None, :] - starts[:, 0:1]) / safe_d[:, 0:1]
-    ay = (y_planes[None, :] - starts[:, 1:2]) / safe_d[:, 1:2]
-    ax = np.where(np.abs(d[:, 0:1]) < 1e-12, -1.0, ax)
-    ay = np.where(np.abs(d[:, 1:2]) < 1e-12, -1.0, ay)
-    a_min = np.clip(np.maximum(np.minimum(ax[:, 0], ax[:, -1]),
-                               np.minimum(ay[:, 0], ay[:, -1])), 0.0, 1.0)
-    a_max = np.clip(np.minimum(np.maximum(ax[:, 0], ax[:, -1]),
-                               np.maximum(ay[:, 0], ay[:, -1])), 0.0, 1.0)
-    alphas = np.concatenate([ax, ay], axis=1)
-    alphas = np.clip(alphas, a_min[:, None], a_max[:, None])
-    alphas.sort(axis=1)
-    alphas = np.concatenate([a_min[:, None], alphas], axis=1)
-    seg = np.diff(alphas, axis=1)
-    mids = 0.5 * (alphas[:, 1:] + alphas[:, :-1])
-    mx = starts[:, 0:1] + mids * d[:, 0:1]
-    my = starts[:, 1:2] + mids * d[:, 1:2]
-    ix = np.floor((mx - x_planes[0]) / pixel_size).astype(np.int64)
-    iy = np.floor((my - y_planes[0]) / pixel_size).astype(np.int64)
-    valid = (seg > 1e-12) & (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-    valid &= (a_max > a_min)[:, None] & (lengths > 1e-12)[:, None]
-    ix = np.clip(ix, 0, nx - 1)
-    iy = np.clip(iy, 0, ny - 1)
-    weights = seg * lengths[:, None] * valid
-    contrib = weights * values[:, None]
-    image = np.zeros((ny, nx))
-    np.add.at(image, (iy[valid], ix[valid]), contrib[valid])
-    return image
+    table = siddon_rays(starts, ends, image_shape, pixel_size)
+    return ray_backproject(values, table, image_shape)
 
 
 def sart_reconstruct(
@@ -104,20 +72,18 @@ def sart_reconstruct(
         raise ValueError("iterations must be >= 1")
     n = image_size
     x = np.zeros((n, n)) if initial is None else initial.astype(np.float64).copy()
-    extent = 0.75 * pixel_size * float(np.hypot(n, n))
     ones = np.ones((n, n))
-    # Precompute per-view ray endpoints, row sums, and column sums.
+    # Per-view ray tables (shared with forward_project), row and column sums.
     views = []
-    for v in range(geometry.num_views):
-        starts, ends = geometry.rays(v, extent)
-        row_sums = siddon_raycast(ones, starts, ends, pixel_size)
-        col_sums = siddon_backproject(np.ones(len(starts)), starts, ends, (n, n), pixel_size)
-        views.append((starts, ends, np.maximum(row_sums, 1e-9), np.maximum(col_sums, 1e-9)))
+    for table in projection_tables(geometry, (n, n), pixel_size):
+        row_sums = ray_integrals(ones, table)
+        col_sums = ray_backproject(np.ones(len(row_sums)), table, (n, n))
+        views.append((table, np.maximum(row_sums, 1e-9), np.maximum(col_sums, 1e-9)))
     for _ in range(iterations):
-        for v, (starts, ends, row_sums, col_sums) in enumerate(views):
-            forward = siddon_raycast(x, starts, ends, pixel_size)
+        for v, (table, row_sums, col_sums) in enumerate(views):
+            forward = ray_integrals(x, table)
             residual = (sinogram[v] - forward) / row_sums
-            update = siddon_backproject(residual, starts, ends, (n, n), pixel_size)
+            update = ray_backproject(residual, table, (n, n))
             x += relaxation * update / col_sums
             if nonnegativity:
                 np.maximum(x, 0.0, out=x)

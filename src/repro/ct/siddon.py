@@ -7,46 +7,73 @@ dense formulation: for R rays through an N×N grid, *all* plane
 intersection parameters form an (R, 2N+2) array that is clipped to each
 ray's [α_min, α_max] interval, sorted per row, and reduced with
 fancy-indexed gathers.  No Python loop over rays.
+
+The work splits in two.  :func:`siddon_rays` does the traversal — the
+crossing sort and the pixel indexing — and depends only on the rays and
+the grid, so it yields a :class:`RayTable` that can be built once per
+geometry and reused for every image.  :func:`ray_integrals` (the
+projector) and :func:`ray_backproject` (its exact adjoint) are cheap
+gather / scatter passes over such a table.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 
-def siddon_raycast(
-    image: np.ndarray,
+class RayTable(NamedTuple):
+    """The Siddon traversal of R rays through one pixel grid.
+
+    Each ray is cut into S = nx + ny + 2 segments; segments outside
+    the grid carry zero weight.
+
+    Attributes
+    ----------
+    index: (R, S) int32 flat (row-major) pixel index of each segment.
+    weight: (R, S) segment length as a fraction of the ray, 0 where the
+        segment lies outside the grid or is empty.
+    length: (R,) ray length in mm.
+    dead: (R,) rays that miss the grid or have zero length.
+    """
+
+    index: np.ndarray
+    weight: np.ndarray
+    length: np.ndarray
+    dead: np.ndarray
+
+    def freeze(self) -> "RayTable":
+        """Mark every array read-only (for tables shared through a cache)."""
+        for a in self:
+            a.setflags(write=False)
+        return self
+
+
+def siddon_rays(
     starts: np.ndarray,
     ends: np.ndarray,
+    image_shape: Tuple[int, int],
     pixel_size: float = 1.0,
-) -> np.ndarray:
-    """Exact line integrals of ``image`` along rays from starts to ends.
+) -> RayTable:
+    """Trace rays from ``starts`` to ``ends`` through an ``image_shape`` grid.
 
     Parameters
     ----------
-    image:
-        (N, M) pixel grid; values are linear attenuation per mm.  Row
-        index is y (increasing upward), column index is x.  The grid is
-        centred on the origin.
     starts, ends:
         (R, 2) world coordinates (x, y) in mm of each ray's endpoints.
+    image_shape:
+        (ny, nx) of the pixel grid.  Row index is y (increasing upward),
+        column index is x; the grid is centred on the origin.
     pixel_size:
         Pixel pitch in mm.
-
-    Returns
-    -------
-    (R,) array of line integrals (dimensionless attenuation).
     """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError(f"image must be 2-D; got shape {image.shape}")
     starts = np.atleast_2d(np.asarray(starts, dtype=np.float64))
     ends = np.atleast_2d(np.asarray(ends, dtype=np.float64))
     if starts.shape != ends.shape or starts.shape[1] != 2:
         raise ValueError("starts/ends must both be (R, 2)")
 
-    ny, nx = image.shape
+    ny, nx = image_shape
     # Grid plane positions (pixel boundaries), centred on the origin.
     x_planes = (np.arange(nx + 1) - nx / 2.0) * pixel_size
     y_planes = (np.arange(ny + 1) - ny / 2.0) * pixel_size
@@ -113,8 +140,56 @@ def siddon_raycast(
     valid = (seg > 1e-12) & (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
     ix = np.clip(ix, 0, nx - 1)
     iy = np.clip(iy, 0, ny - 1)
+    index = (iy * nx + ix).astype(np.int32)
+    return RayTable(index, seg * valid, lengths, misses | degenerate)
 
-    values = image[iy, ix]
-    integrals = (values * seg * valid * lengths[:, None]).sum(axis=1)
-    integrals[misses | degenerate] = 0.0
+
+def ray_integrals(image: np.ndarray, table: RayTable) -> np.ndarray:
+    """(R,) line integrals of ``image`` along the rays of ``table``."""
+    values = np.take(image.ravel(), table.index)
+    values *= table.weight
+    values *= table.length[:, None]
+    integrals = values.sum(axis=1)
+    integrals[table.dead] = 0.0
     return integrals
+
+
+def ray_backproject(values: np.ndarray, table: RayTable, image_shape: Tuple[int, int]) -> np.ndarray:
+    """Adjoint of :func:`ray_integrals`: scatter ray values into pixels.
+
+    Each live ray deposits ``value · segment_length`` into every pixel
+    it crosses, so ``<A x, y> == <x, A^T y>`` holds to rounding.
+    """
+    values = np.where(table.dead, 0.0, values)
+    contrib = table.weight * (table.length * values)[:, None]
+    ny, nx = image_shape
+    return np.bincount(table.index.ravel(), contrib.ravel(), minlength=ny * nx).reshape(ny, nx)
+
+
+def siddon_raycast(
+    image: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    pixel_size: float = 1.0,
+) -> np.ndarray:
+    """Exact line integrals of ``image`` along rays from starts to ends.
+
+    Parameters
+    ----------
+    image:
+        (N, M) pixel grid; values are linear attenuation per mm.  Row
+        index is y (increasing upward), column index is x.  The grid is
+        centred on the origin.
+    starts, ends:
+        (R, 2) world coordinates (x, y) in mm of each ray's endpoints.
+    pixel_size:
+        Pixel pitch in mm.
+
+    Returns
+    -------
+    (R,) array of line integrals (dimensionless attenuation).
+    """
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 2:
+        raise ValueError(f"image must be 2-D; got shape {image.shape}")
+    return ray_integrals(image, siddon_rays(starts, ends, image.shape, pixel_size))

@@ -25,7 +25,7 @@ import numpy as np
 from repro.ct.geometry import FanBeamGeometry, paper_geometry
 from repro.ct.hounsfield import hu_to_mu, mu_to_hu, normalize_unit
 from repro.ct.noise import PAPER_BLANK_SCAN
-from repro.ct.sinogram import simulate_low_dose_pair
+from repro.ct.sinogram import build_geometry_tables, simulate_low_dose_pair
 from repro.data.phantom import ChestPhantomConfig, chest_slice
 from repro.data.phantom3d import chest_volume
 from repro.data.registry import DATA_SOURCES
@@ -186,6 +186,8 @@ def make_enhancement_pairs(
     pixel_size = 350.0 / size
     config = ChestPhantomConfig(size=size, vessel_count=10)
     seeds = derive_item_seeds(rng, num_pairs)
+    if physics:
+        build_geometry_tables(geometry, size, pixel_size)  # before the fork
     with shm_scope() as scope:
         lows = scope.create((num_pairs, 1, size, size), np.float64)
         fulls = scope.create((num_pairs, 1, size, size), np.float64)

@@ -189,8 +189,11 @@ def simulate_low_dose_volume(
         raise ValueError(f"expected (D, H, W) volume; got shape {volume_mu.shape}")
     if volume_mu.shape[1] != volume_mu.shape[2]:
         raise ValueError("FBP reconstruction needs square slices")
+    from repro.ct.sinogram import build_geometry_tables
+
     depth = volume_mu.shape[0]
     seeds = spawn_seeds(seed, depth)
+    build_geometry_tables(geometry, volume_mu.shape[1], pixel_size)  # before the fork
     with shm_scope() as scope:
         src = scope.share(volume_mu)
         full = scope.create(volume_mu.shape, np.float64)
@@ -228,8 +231,11 @@ def simulate_dose_fraction_volume(
         raise ValueError(f"expected (D, H, W) volume; got shape {volume_mu.shape}")
     if volume_mu.shape[1] != volume_mu.shape[2]:
         raise ValueError("FBP reconstruction needs square slices")
+    from repro.ct.sinogram import build_geometry_tables
+
     depth = volume_mu.shape[0]
     seeds = spawn_seeds(seed, depth)
+    build_geometry_tables(geometry, volume_mu.shape[1], pixel_size)  # before the fork
     with shm_scope() as scope:
         src = scope.share(volume_mu)
         full = scope.create(volume_mu.shape, np.float64)

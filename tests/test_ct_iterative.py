@@ -42,6 +42,20 @@ class TestAdjoint:
         rhs = (img * siddon_backproject(y, starts, ends, (8, 8), 2.5)).sum()
         assert np.isclose(lhs, rhs, rtol=1e-10)
 
+    @pytest.mark.parametrize("pixel_size", [1.0, 1.5])
+    def test_adjoint_every_view_of_parallel_geometry(self, rng, pixel_size):
+        # The 0° and 90° views are axis-parallel rays.
+        geo = ParallelBeamGeometry(num_views=4, num_detectors=17)
+        img = rng.random((12, 12))
+        extent = 0.75 * pixel_size * float(np.hypot(12, 12))
+        for view in range(geo.num_views):
+            starts, ends = geo.rays(view, extent)
+            y = rng.random(geo.num_detectors)
+            lhs = (siddon_raycast(img, starts, ends, pixel_size) * y).sum()
+            rhs = (img * siddon_backproject(y, starts, ends, (12, 12), pixel_size)).sum()
+            assert lhs > 0.0
+            assert np.isclose(lhs, rhs, rtol=1e-10), view
+
     def test_missing_rays_deposit_nothing(self):
         out = siddon_backproject([5.0], [[-100.0, 50.0]], [[100.0, 50.0]], (8, 8))
         assert np.all(out == 0.0)

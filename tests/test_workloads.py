@@ -222,12 +222,19 @@ class TestMixedServing:
         total = sum(b["completed"] + b["shed"] for b in kinds.values())
         assert total == len(mixed_requests)
 
-    def test_quantify_batches_verify_with_quantifier(self, mixed_requests):
+    def test_quantify_batches_verify_with_quantifier(self):
+        # Verifying every batch runs each diagnosis for real, so this test
+        # gets its own short mixed stream of small scans (all three kinds,
+        # mostly quantify) instead of the shared 64×16 fixture.
+        requests = make_workload(6, seed=3, monitor_fraction=0.3,
+                                 quantify_fraction=0.7, size=32, slices=16)
+        assert {r.kind for r in requests} == {"diagnosis", "monitoring",
+                                              "quantify"}
         engine = ServingEngine(mode="staged", verify_batches=10 ** 9,
                                queue_capacity=10 ** 6,
                                workloads=("diagnosis", "monitoring",
                                           "quantify"))
-        report = engine.run(mixed_requests)
+        report = engine.run(requests)
         quantified = [r for r in report.completed
                       if r.request.kind == "quantify" and not r.from_cache]
         assert quantified
