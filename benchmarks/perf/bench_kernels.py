@@ -2,11 +2,10 @@
 """Kernel-backend perf harness (standalone, not a pytest bench).
 
 Times every op registered in the :mod:`repro.backend` kernel registry
-on the selected backends (median-of-k after warmup), re-proves each
-backend's parity tier against ``reference`` (``opt``: bit-identical,
-``fast``: ulp tolerance), runs the reduced-precision fp16/int8
-enhancement arm against its quality floors, fits the host's per-op
-service-time coefficients per backend
+on the selected backends (median-of-k after warmup), re-proves the
+``fast`` backend's ulp parity tier against ``reference``, runs the
+reduced-precision int8 enhancement arm against its quality floors,
+fits the host's per-op service-time coefficients per backend
 (:mod:`repro.backend.calibrate`), and writes ``BENCH_kernels.json`` at
 the repo root.  Exits nonzero when any parity tier or precision floor
 is violated; speedups are *reported*, never gated, because they depend
@@ -16,7 +15,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/perf/bench_kernels.py [--quick]
         [--out PATH] [--repeats N] [--size N] [--no-calibration]
-        [--no-precision] [--backends reference,opt,fast]
+        [--no-precision] [--backends reference,fast]
 
 Also exposed as ``repro bench kernels``.
 """
@@ -43,7 +42,7 @@ def main(argv=None) -> int:
     parser.add_argument("--no-calibration", action="store_true",
                         help="skip embedding the per-backend calibration fits")
     parser.add_argument("--no-precision", action="store_true",
-                        help="skip the reduced-precision fp16/int8 arm")
+                        help="skip the reduced-precision int8 arm")
     parser.add_argument("--backends", type=str, default=None,
                         help="comma-separated backends to bench "
                              "(default: all registered; reference is "

@@ -1,19 +1,17 @@
-"""Pluggable kernel backends: registry, optimized variants, calibration.
+"""Pluggable kernel backends: registry, FFT kernels, calibration.
 
 One dispatch layer for every tensor op (§4.2's per-device kernel
 architecture, reproduced for the NumPy engine):
 
 - :mod:`~repro.backend.registry` — the ``(op, backend)`` kernel
-  registry; ``reference`` is the classic numpy path, ``opt`` the
-  optimized variants, both bit-identical (parity-gated in tests and in
-  ``repro bench kernels``),
+  registry; ``reference`` is the classic numpy path, ``fast`` the FFT
+  kernels (parity-gated in tests and in ``repro bench kernels``),
 - :mod:`~repro.backend.counters` — the analytic Table 6 operation
   counters (N-dimensional; re-exported by :mod:`repro.hetero.counters`),
-- :mod:`~repro.backend.opt` — gather-formulated deconvolution, im2col
-  scratch-buffer reuse, fused conv+bias+activation, filter caching,
-- :mod:`~repro.backend.fast` — the ulp-tier third backend: FFT
-  convolution/deconvolution with a filter-transform cache, tiled
-  im2col, fused unpool+deconv, and batched multi-scan conv,
+- :mod:`~repro.backend.fast` — the ulp-tier backend: FFT
+  convolution/deconvolution with a filter-transform cache, fused
+  unpool+deconv, and batched multi-scan conv; every other case runs
+  the reference kernels,
 - :mod:`~repro.backend.precision` — the accuracy-parity tiers (bit /
   ulp / metric floors) every backend and reduced-precision mode is
   held to,

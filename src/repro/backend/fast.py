@@ -1,9 +1,7 @@
-"""The ``fast`` kernel backend: FFT convolution and tiled im2col.
+"""The ``fast`` kernel backend: FFT convolution and deconvolution.
 
-Where the ``opt`` backend is constrained to *bit-identical* parity with
-``reference`` (same floating-point evaluation order, so only allocator
-and layout tricks are allowed), ``fast`` trades that constraint for
-algorithmic wins and is held to the **ulp tier** instead
+``fast`` trades ``reference``'s exact evaluation order for an
+algorithmic win and is held to the **ulp tier** instead
 (:mod:`repro.backend.precision`): results must match reference within a
 dtype-aware relative tolerance, which the parity property grid and
 ``repro bench kernels`` enforce on every run.
@@ -20,27 +18,25 @@ What it does differently:
   rounded up to 5-smooth sizes (:func:`next_fast_len`).
 - **filter-transform LRU cache** — the kernel's frequency-domain image
   is cached per weight array (identity/shape/dtype/fft-shape keyed,
-  ``no_grad`` only, same discipline as the opt filter cache) so
-  repeated inference — and every scan of a serving batch — pays the
-  filter FFT once.  Invalidated through
+  ``no_grad`` only) so repeated inference — and every scan of a
+  serving batch — pays the filter FFT once.  Invalidated through
   :func:`repro.backend.registry.clear_kernel_caches` like every other
   weight-derived cache.
 - **FFT deconvolution** — the stride-1 transposed convolution is the
   *full* linear convolution of the gradient with the (unflipped)
   kernel, contracted over the input-channel axis; same plan cache.
-- **blocked/tiled im2col** — below the FFT crossover (1×1/3×3 kernels)
-  and for strided convs, the im2col GEMM runs in output-row tiles
-  sized to :data:`TILE_BUDGET_ELEMS`, with the patch buffer and the
-  GEMM product living in the ``opt`` backend's thread-local scratch
-  arena (shared, not duplicated).
 - **batched multi-scan conv** (``conv_batch``) — the fast entry stacks
   a serving batch of scans into one dispatch so the filter transform
-  is amortized across the batch; reference/opt run the honest
+  is amortized across the batch; reference runs the honest
   scan-at-a-time loop (see :mod:`repro.tensor.ops_fused`).
 
-Ops with no algorithmic headroom alias their ``opt`` (or reference)
-implementation; :data:`FALLBACK_OPS` is the explicit declaration the
-backend lint checks, so an op can never *silently* lack a fast path.
+Everything the FFT path does not cover runs the ``reference`` kernels
+directly, so it is bit-identical to ``reference``: the training path
+(``want_cols=True`` needs the im2col buffer for the weight gradient),
+convolutions and deconvolutions below the tap crossover or with a
+stride, and the ops in :data:`FALLBACK_OPS` — the explicit declaration
+the backend lint checks, so an op can never *silently* lack a fast
+path.
 """
 
 from __future__ import annotations
@@ -52,19 +48,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.backend.registry import REGISTRY, register_kernel
-from repro.backend.opt import (
-    _flat_filter,
-    _scratch,
-    conv_nd_forward_opt,
-    conv_nd_input_grad_opt,
-    leaky_relu_forward_opt,
-)
-from repro.tensor.ops_activation import relu_forward
+from repro.tensor.ops_activation import leaky_relu_forward, relu_forward
 from repro.tensor.ops_conv import (
     _out_size,
     _pad_spatial,
     _tuplify,
     _unpad_spatial,
+    conv_nd_forward,
+    conv_nd_input_grad,
     conv_nd_weight_grad,
 )
 from repro.tensor.ops_norm import batchnorm_forward
@@ -74,14 +65,10 @@ from repro.tensor.ops_pool import (
     upsample_bilinear_forward,
 )
 
-#: Kernel-tap count at which the FFT path overtakes tiled im2col on the
-#: DDnet shapes (microbenchmarked; see the crossover table in
+#: Kernel-tap count at which the FFT path overtakes reference im2col on
+#: the DDnet shapes (microbenchmarked; see the crossover table in
 #: docs/backends.md).  5×5 = 25 taps is exactly the paper's hot kernel.
 FFT_CROSSOVER_ELEMS = 25
-
-#: Per-tile element budget for the blocked im2col path (~2 MiB of
-#: float64), sized so patch buffer + GEMM product stay cache-resident.
-TILE_BUDGET_ELEMS = 1 << 18
 
 
 def next_fast_len(n: int) -> int:
@@ -126,9 +113,10 @@ _fft_lock = threading.Lock()
 def _filter_fft(w: np.ndarray, fshape: Tuple[int, ...], flip: bool) -> np.ndarray:
     """Frequency-domain image of ``w`` (optionally spatially flipped).
 
-    Cached per weight identity under ``no_grad`` — the fast-backend
-    analogue of the opt backend's flattened-filter cache, invalidated by
-    the same :func:`~repro.backend.registry.clear_kernel_caches` hook.
+    Cached per weight identity under ``no_grad`` (training mutates
+    weights every step, so caching would only churn); invalidated by
+    :func:`~repro.backend.registry.clear_kernel_caches`, which
+    ``load_state_dict``, ``to_dtype`` and every optimizer step call.
     """
     from repro.tensor.tensor import is_grad_enabled
 
@@ -219,73 +207,21 @@ def _fft_correlate(
     return np.ascontiguousarray(y[slicer].astype(dtype, copy=False))
 
 
-def conv_nd_forward_tiled(
-    x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray], stride, padding,
-) -> Tuple[np.ndarray, None, Tuple[int, ...]]:
-    """Blocked im2col: the patch GEMM runs in output-row tiles.
-
-    Each tile's patch buffer and GEMM product live in the shared opt
-    scratch arena, so peak intermediate memory is the tile size, not
-    the full ``C·∏kernel × ∏out`` matrix.
-    """
-    from repro.tensor.ops_conv import _im2col
-
-    nd = w.ndim - 2
-    stride_t = _tuplify(stride, nd)
-    padding_t = _tuplify(padding, nd)
-    xp = _pad_spatial(x, padding_t)
-    kernel = w.shape[2:]
-    out_sp = tuple(
-        _out_size(x.shape[2 + i], kernel[i], stride_t[i], padding_t[i])
-        for i in range(nd)
-    )
-    n, f = x.shape[0], w.shape[0]
-    w2 = _flat_filter(w)
-    width = w.shape[1]
-    for k in kernel:
-        width *= k
-    rest = 1
-    for o in out_sp[1:]:
-        rest *= o
-    dtype = np.result_type(x.dtype, w.dtype)
-    out = np.empty((n, f) + out_sp, dtype=dtype)
-    per_row = max(n * rest * width, 1)
-    tile_rows = max(1, TILE_BUDGET_ELEMS // per_row)
-    perm = (0, 1 + nd) + tuple(range(1, 1 + nd))
-    for r0 in range(0, out_sp[0], tile_rows):
-        r1 = min(out_sp[0], r0 + tile_rows)
-        lo = r0 * stride_t[0]
-        hi = (r1 - 1) * stride_t[0] + kernel[0]
-        cols = _im2col(xp[:, :, lo:hi], kernel, stride_t)   # (N, r, *rest, C, *k)
-        rows = n * (r1 - r0) * rest
-        cols2 = _scratch("fast_im2col", (rows, width), cols.dtype)
-        np.copyto(cols2.reshape(cols.shape), cols)
-        prod = _scratch("fast_gemm", (rows, f), dtype)
-        np.matmul(cols2, w2.T, out=prod)
-        if bias is not None:
-            prod += bias
-        blk = prod.reshape((n, r1 - r0) + out_sp[1:] + (f,))
-        out[:, :, r0:r1] = blk.transpose(perm)
-    return out, None, out_sp
-
-
 def conv_nd_forward_fast(
     x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray], stride, padding,
     want_cols: bool = True,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], Tuple[int, ...]]:
-    """Fast conv: FFT above the tap crossover, tiled im2col below.
+    """Fast conv: FFT above the tap crossover, reference im2col below.
 
     ``want_cols=True`` (the training path needs the patch buffer for
-    the weight gradient) delegates to the bit-identical opt kernel —
-    the FFT path has no im2col buffer to hand back.
+    the weight gradient) also runs the reference kernel — the FFT path
+    has no im2col buffer to hand back.
     """
     nd = w.ndim - 2
     stride_t = _tuplify(stride, nd)
     padding_t = _tuplify(padding, nd)
-    if want_cols:
-        return conv_nd_forward_opt(x, w, bias, stride_t, padding_t, want_cols=True)
-    if not fft_eligible(w.shape[2:], stride_t):
-        return conv_nd_forward_tiled(x, w, bias, stride_t, padding_t)
+    if want_cols or not fft_eligible(w.shape[2:], stride_t):
+        return conv_nd_forward(x, w, bias, stride_t, padding_t, want_cols=want_cols)
     out = _fft_correlate(x, w, stride_t, padding_t)
     if bias is not None:
         out += bias.reshape((1, -1) + (1,) * nd).astype(out.dtype, copy=False)
@@ -299,15 +235,15 @@ def conv_nd_input_grad_fast(
 
     The padded transposed-conv output is exactly the full linear
     convolution of ``g`` with the *unflipped* kernel, contracted over
-    the filter axis; strided or sub-crossover cases use the opt gather
-    kernel.
+    the filter axis; strided or sub-crossover cases use the reference
+    gather kernel.
     """
     nd = w.ndim - 2
     stride_t = _tuplify(stride, nd)
     padding_t = _tuplify(padding, nd)
     kernel = w.shape[2:]
     if not fft_eligible(kernel, stride_t):
-        return conv_nd_input_grad_opt(g, w, x_shape, stride_t, padding_t)
+        return conv_nd_input_grad(g, w, x_shape, stride_t, padding_t)
     xp_sp = tuple(x_shape[2 + i] + 2 * padding_t[i] for i in range(nd))
     fshape = tuple(next_fast_len(s) for s in xp_sp)
     axes = tuple(range(2, 2 + nd))
@@ -333,7 +269,7 @@ def conv_bias_act_nd_forward_fast(
 
 # ---------------------------------------------------------------------------
 # Fused decoder pair and batched multi-scan conv (fast entries; the
-# reference/opt entries live in repro.tensor.ops_fused)
+# reference entries live in repro.tensor.ops_fused)
 # ---------------------------------------------------------------------------
 def unpool_deconv_nd_forward_fast(
     x: np.ndarray, w: np.ndarray, y_shape: Tuple[int, ...], scale, stride, padding
@@ -371,28 +307,22 @@ register_kernel("unpool_deconv", "fast", kind="deconvolution")(
 register_kernel("conv_batch", "fast", kind="convolution")(
     conv_batch_nd_forward_fast)
 
-#: Ops the fast backend intentionally serves with another backend's
-#: implementation (no algorithmic headroom over NumPy / opt).  This is
-#: the *explicit fallback declaration* the backend lint and the parity
+#: Ops the fast backend intentionally serves with the reference
+#: implementation (no algorithmic headroom over NumPy).  This is the
+#: *explicit fallback declaration* the backend lint and the parity
 #: tests consult: every registered op must either have a genuine fast
 #: kernel above or appear here — never an accidental hole.
 FALLBACK_OPS = {
-    "conv_weight_grad": "reference",
-    "maxpool": "opt",
-    "avgpool": "opt",
-    "unpool": "opt",
-    "leaky_relu": "opt",
-    "relu": "opt",
-    "batchnorm": "opt",
-    "quantize_linear": "reference",
-    "dequantize_linear": "reference",
+    op: "reference"
+    for op in ("conv_weight_grad", "maxpool", "avgpool", "unpool", "leaky_relu",
+               "relu", "batchnorm", "quantize_linear", "dequantize_linear")
 }
 
 register_kernel("conv_weight_grad", "fast")(conv_nd_weight_grad)
 register_kernel("maxpool", "fast")(max_pool_nd_forward)
 register_kernel("avgpool", "fast")(avg_pool_nd_forward)
 register_kernel("unpool", "fast")(upsample_bilinear_forward)
-register_kernel("leaky_relu", "fast")(leaky_relu_forward_opt)
+register_kernel("leaky_relu", "fast")(leaky_relu_forward)
 register_kernel("relu", "fast")(relu_forward)
 register_kernel("batchnorm", "fast")(batchnorm_forward)
 

@@ -4,17 +4,17 @@ Produces ``BENCH_kernels.json`` (repo root by convention), the kernel
 sibling of ``BENCH_hotpaths.json``: same timing discipline (median-of-k
 after warmup via :func:`repro.parallel.hotpath_bench.median_seconds`),
 same host metadata, and a per-backend parity record per op at the tier
-:mod:`repro.backend.precision` assigns — ``opt`` must be bit-identical
-to ``reference``, ``fast`` must agree within the dtype-aware ulp
-tolerance — re-proven on every run.  A reduced-precision arm runs the
-DDnet enhancement forward at float16 and with int8-quantized weights
-and checks MS-SSIM/PSNR against the float64 reference output and the
+:mod:`repro.backend.precision` assigns — ``fast`` must agree with
+``reference`` within the dtype-aware ulp tolerance — re-proven on every
+run.  A reduced-precision arm runs the DDnet enhancement forward with
+int8-quantized weights and checks MS-SSIM/PSNR against the float64
+reference output and the
 :data:`repro.backend.precision.PRECISION_FLOORS`.  The payload also
 embeds one fresh :class:`repro.backend.calibrate.KernelCalibration`
 *per benched backend*, so per-backend service-time coefficients ship
 with the timings they came from.
 
-CI runs ``repro bench kernels --quick --backends reference,opt,fast``
+CI runs ``repro bench kernels --quick --backends reference,fast``
 as a perf smoke test and fails the job when any parity tier or
 precision floor is violated (``gate_ok``).
 """
@@ -34,7 +34,7 @@ from repro.backend.precision import (
     psnr,
     tier_for,
 )
-from repro.backend.registry import dispatch, known_backends, known_ops, use_backend
+from repro.backend.registry import dispatch, known_backends, known_ops
 
 #: Parity baseline and speedup denominator; always benched even when a
 #: ``backends`` selection omits it.
@@ -139,12 +139,11 @@ def _small_ddnet(rng_seed: int = 0):
 
 
 def _precision_arm(quick: bool, repeats: int) -> Dict:
-    """Reduced-precision enhancement parity: fp16 + int8 vs float64.
+    """Reduced-precision enhancement parity: int8 vs float64.
 
-    Runs the same seeded small DDnet forward (fused decoder path) three
-    ways — float64 weights on ``reference``, float16 weights/input on
-    ``fast``, int8-quantized weights — and scores the reduced modes'
-    outputs against the float64 arm with the Fig. 8 metrics.
+    Runs the same seeded small DDnet forward (fused decoder path) twice
+    — float64 weights, then int8-quantized weights — and scores the
+    int8 output against the float64 arm with the Fig. 8 metrics.
     """
     from repro.nn.quantize import quantize_module
     from repro.parallel.hotpath_bench import median_seconds
@@ -160,38 +159,27 @@ def _precision_arm(quick: bool, repeats: int) -> Dict:
         ref_t = median_seconds(
             lambda: ref_model(Tensor(image)), repeats)
 
-        fp16_model = _small_ddnet().to_dtype(np.float16)
-        x16 = Tensor(image, dtype=np.float16)
-        with use_backend("fast"):
-            y16 = fp16_model(x16).data
-            fp16_t = median_seconds(lambda: fp16_model(x16), repeats)
-
         int8_model = _small_ddnet()
         quantized = quantize_module(int8_model)
         y8 = int8_model(Tensor(image)).data
         int8_t = median_seconds(lambda: int8_model(Tensor(image)), repeats)
 
-    modes = {}
-    for mode, y, timing, extra in (
-        ("float16", y16, fp16_t, {"output_dtype": str(y16.dtype)}),
-        ("int8", y8, int8_t, {"quantized_params": quantized}),
-    ):
-        out = np.asarray(y, dtype=np.float64)[0, 0]
-        metrics = {"ms_ssim": ms_ssim(y_ref, out), "psnr_db": psnr(y_ref, out)}
-        flags = check_floors(mode, metrics)
-        modes[mode] = {
-            "metrics": metrics,
-            "floors": dict(PRECISION_FLOORS[mode]),
-            "floor_checks": flags,
-            "ok": all(flags.values()),
-            "median_s": timing["median_s"],
-            **extra,
-        }
+    out = np.asarray(y8, dtype=np.float64)[0, 0]
+    metrics = {"ms_ssim": ms_ssim(y_ref, out), "psnr_db": psnr(y_ref, out)}
+    flags = check_floors("int8", metrics)
+    int8 = {
+        "metrics": metrics,
+        "floors": dict(PRECISION_FLOORS["int8"]),
+        "floor_checks": flags,
+        "ok": all(flags.values()),
+        "median_s": int8_t["median_s"],
+        "quantized_params": quantized,
+    }
     return {
         "image_size": size,
         "reference_median_s": ref_t["median_s"],
-        "modes": modes,
-        "ok": all(m["ok"] for m in modes.values()),
+        "modes": {"int8": int8},
+        "ok": int8["ok"],
     }
 
 
@@ -252,7 +240,7 @@ def run_kernel_bench(
     parity_ok = all(p["ok"] for e in ops.values() for p in e["parity"].values())
     payload: Dict = {
         "bench": "kernels",
-        "schema": 2,
+        "schema": 3,
         "quick": quick,
         "backends": list(bench_backends),
         "baseline": BASELINE_BACKEND,

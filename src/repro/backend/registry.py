@@ -7,9 +7,8 @@ NumPy engine: every tensor op is registered under ``(op, backend)`` and
 executed through :func:`dispatch`, so
 
 - implementations are pluggable (``reference`` is the classic numpy
-  path, ``opt`` carries the optimized variants in
-  :mod:`repro.backend.opt`; new backends register without touching
-  call sites),
+  path, ``fast`` carries the FFT kernels in :mod:`repro.backend.fast`;
+  new backends register without touching call sites),
 - every dispatch can emit a ``kernel_launch``-compatible telemetry
   record with the **measured** wall time plus the analytic
   :class:`~repro.backend.counters.OpCounts` — attach any sink with a
@@ -47,7 +46,6 @@ _PROVIDERS = (
     "repro.tensor.ops_activation",
     "repro.tensor.ops_quant",
     "repro.tensor.ops_fused",
-    "repro.backend.opt",
     "repro.backend.fast",
 )
 
@@ -245,10 +243,11 @@ def known_backends(op: Optional[str] = None) -> List[str]:
 
 
 def clear_kernel_caches() -> None:
-    """Invalidate weight-derived kernel caches (e.g. the opt filter cache).
+    """Invalidate weight-derived kernel caches (e.g. the fast FFT cache).
 
-    Called automatically by :meth:`repro.nn.module.Module.load_state_dict`
-    and :meth:`~repro.nn.module.Module.to_dtype`; call it manually after
-    mutating a parameter's ``.data`` array in place outside those paths.
+    Called automatically by :meth:`repro.nn.module.Module.load_state_dict`,
+    :meth:`~repro.nn.module.Module.to_dtype` and every optimizer step;
+    call it manually after mutating a parameter's ``.data`` array in
+    place outside those paths.
     """
     REGISTRY.clear_caches()

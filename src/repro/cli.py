@@ -33,8 +33,8 @@ code:
   ``repro.parallel`` hot paths (dataset simulation, batch scoring,
   float32 inference) and writes ``BENCH_hotpaths.json``;
   ``bench kernels`` times every registered kernel op on the selected
-  backends (``--backends reference,opt,fast``), re-proves each
-  backend's parity tier plus the fp16/int8 precision floors, and
+  backends (``--backends reference,fast``), re-proves each
+  backend's parity tier plus the int8 precision floors, and
   writes ``BENCH_kernels.json``;
   ``bench dag`` runs the monolithic-vs-stage-pipelined serving
   comparison (cold and warm monitoring caches, cross-mode functional
@@ -49,11 +49,10 @@ code:
   against phantom ground truth plus per-kind serving parity, and
   writes ``BENCH_scenarios.json``.
 
-``diagnose --backend opt`` runs the whole pipeline on the optimized
-kernel backend (``fast`` selects the FFT/fused third backend);
-``serve --backend fast --calibrated`` microbenchmarks this host's
-kernels *under that backend* first and schedules on the measured
-(calibrated, backend-specific) service-time model.
+``diagnose --backend fast`` runs the whole pipeline on the FFT kernel
+backend; ``serve --backend fast --calibrated`` microbenchmarks this
+host's kernels *under that backend* first and schedules on the
+measured (calibrated, backend-specific) service-time model.
 
 ``simulate`` and ``serve`` accept ``--workers N`` to fan work across
 ``N`` processes over shared memory; results are bit-identical to
@@ -73,6 +72,13 @@ def _cmd_diagnose(args) -> int:
     from repro.data import chest_volume
     from repro.pipeline import ComputeCovid19Plus
 
+    try:
+        framework = ComputeCovid19Plus(use_enhancement=not args.no_enhancement,
+                                       threshold=args.threshold,
+                                       backend=args.backend)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.input:
         volume = np.load(args.input)
         if hasattr(volume, "files"):  # npz archive
@@ -82,9 +88,6 @@ def _cmd_diagnose(args) -> int:
                               rng=np.random.default_rng(args.seed))
         print(f"generated a synthetic {'COVID-positive' if args.covid else 'healthy'} "
               f"scan ({args.slices}x{args.size}x{args.size})")
-    framework = ComputeCovid19Plus(use_enhancement=not args.no_enhancement,
-                                   threshold=args.threshold,
-                                   backend=args.backend)
     result = framework.diagnose(volume)
     print(f"P(COVID-19) = {result.probability:.4f}  (threshold {result.threshold})")
     print(f"verdict: {result.label}")
@@ -576,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-enhancement", action="store_true")
     p.add_argument("--backend", default=None,
                    help="kernel backend for every tensor op "
-                        "(reference, opt, fast)")
+                        "(reference, fast)")
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("simulate", help="generate low/full-dose training pairs")
@@ -661,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the calibrated perf model")
     p.add_argument("--backend", default=None,
                    help="kernel backend for verification batches and "
-                        "calibration (reference, opt, fast)")
+                        "calibration (reference, fast)")
     p.add_argument("--json", help="also write the summary to this JSON file")
     p.add_argument("--trace-out", default=None, metavar="FILE",
                    help="export the run's telemetry events as JSONL "
@@ -744,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk = bench_sub.add_parser(
         "kernels", help="time every registered kernel op on the selected "
                         "backends, check per-backend parity tiers and the "
-                        "fp16/int8 precision floors, and write "
+                        "int8 precision floors, and write "
                         "BENCH_kernels.json")
     add_bench_arguments(pk, "BENCH_kernels.json")
     pk.add_argument("--repeats", type=int, default=None,
@@ -754,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--no-calibration", action="store_true",
                     help="skip embedding the per-backend calibration fits")
     pk.add_argument("--no-precision", action="store_true",
-                    help="skip the reduced-precision fp16/int8 arm")
+                    help="skip the reduced-precision int8 arm")
     pk.add_argument("--backends", type=str, default=None,
                     help="comma-separated backends to bench (default: all "
                          "registered; reference is always included)")

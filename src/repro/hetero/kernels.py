@@ -5,8 +5,7 @@ operation counts alongside the result, mirroring the paper's
 "implementing counters in each kernel" methodology (Table 6, note 2).
 Execution is routed through the :mod:`repro.backend` kernel registry,
 so these instrumented wrappers run on any registered backend
-(``backend="opt"`` selects the optimized bit-identical variants) and
-participate in dispatch-level telemetry like every other call site.
+(``backend="fast"`` selects the FFT kernels) and participate in dispatch-level telemetry like every other call site.
 
 Two deconvolution formulations exist, reproducing Fig. 9 — now in any
 dimensionality (the paper's kernels are 2D; the 3D forms cover the

@@ -33,6 +33,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 import repro.nn as nn
+from repro.backend.registry import clear_kernel_caches
 from repro.models.baselines import Classifier2D
 from repro.nn.augment import contrastive_augmentation
 from repro.tensor import Tensor, no_grad
@@ -119,6 +120,7 @@ class MoCoLite:
         ]:
             kp.data *= self.momentum
             kp.data += (1.0 - self.momentum) * qp.data
+        clear_kernel_caches()  # key-branch weights changed in place
 
     def _embed_q(self, x: np.ndarray) -> Tensor:
         feats = self.encoder_q.features(Tensor(x)) - Tensor(self.feature_center)

@@ -18,7 +18,7 @@ from repro.tensor.tensor import Tensor
 
 def _clear_kernel_caches() -> None:
     # Weight arrays were replaced/cast: any backend cache keyed on them
-    # (the opt filter cache) must drop its entries.
+    # (the fast FFT filter cache) must drop its entries.
     from repro.backend.registry import clear_kernel_caches
 
     clear_kernel_caches()
@@ -115,10 +115,9 @@ class Module:
         ``model.to_dtype(np.float32)`` is the inference fast path: with
         every op dtype-preserving, a float32 model halves the working
         set of the im2col convolution stack and roughly doubles BLAS
-        throughput.  ``np.float16`` is the reduced-precision serving
-        mode — accuracy-gated by the floors in
-        :mod:`repro.backend.precision`, not bit-parity.  Integer/bool
-        buffers are left untouched.  Pending gradients are dropped
+        throughput.  Any float dtype works (float16 halves it again,
+        but is slower than float64 in NumPy); integer/bool buffers are
+        left untouched.  Pending gradients are dropped
         (their dtype would no longer match).
 
         Quantized parameters (:mod:`repro.nn.quantize`) re-target their
@@ -153,7 +152,7 @@ class Module:
         """Select the kernel backend for this module and all children.
 
         ``backend`` names a registered backend (``"reference"``,
-        ``"opt"``, ...); ``None`` reverts to the thread-scoped default
+        ``"fast"``); ``None`` reverts to the thread-scoped default
         (see :func:`repro.backend.registry.use_backend`).
         """
         if backend is not None:

@@ -6,6 +6,7 @@ from typing import Iterable, List
 
 import numpy as np
 
+from repro.backend.registry import clear_kernel_caches
 from repro.nn.module import Parameter
 
 
@@ -49,6 +50,7 @@ class SGD(Optimizer):
                 v += g
                 g = v
             p.data -= self.lr * g
+        clear_kernel_caches()  # weights changed in place
 
 
 class Adam(Optimizer):
@@ -91,3 +93,4 @@ class Adam(Optimizer):
             m_hat = m / b1t
             v_hat = v / b2t
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        clear_kernel_caches()  # weights changed in place

@@ -17,8 +17,7 @@ Pieces:
   slot.  :func:`repro.backend.registry.clear_kernel_caches` (the hook
   ``Module.load_state_dict``/``to_dtype`` already call) drops the
   cached float array, so the next dispatch re-dequantizes — the cache
-  discipline is identical to the opt filter cache and the fast FFT
-  cache.  Assigning ``.data`` directly *de-quantizes* the parameter
+  discipline is identical to the fast FFT filter cache.  Assigning ``.data`` directly *de-quantizes* the parameter
   (the int8 payload is discarded): an optimizer step or state-dict
   load wins over stale quantized bytes, never the reverse.
 - :func:`quantize_module` — in-place: replaces every eligible weight

@@ -275,9 +275,9 @@ class ComputeCovid19Plus:
     def to_backend(self, backend: Optional[str]) -> "ComputeCovid19Plus":
         """Select the kernel backend for every learned stage.
 
-        ``framework.to_backend("opt")`` routes all tensor ops through
-        the optimized (bit-identical) kernel variants; ``None`` reverts
-        to the thread-scoped default.
+        ``framework.to_backend("fast")`` routes all tensor ops through
+        the FFT kernel backend (ulp parity tier); ``None`` reverts to
+        the thread-scoped default.
         """
         self.enhancement.to_backend(backend)
         self.classification.to_backend(backend)

@@ -16,7 +16,7 @@ Execution goes through the :mod:`repro.backend` registry: the raw
 kernels below are registered as the ``reference`` backend for the
 ``conv`` / ``deconv`` / ``conv_weight_grad`` / ``conv_bias_act`` ops
 and the autograd wrappers call :func:`repro.backend.registry.dispatch`,
-so optimized variants (:mod:`repro.backend.opt`) and per-dispatch
+so other backends (:mod:`repro.backend.fast`) and per-dispatch
 telemetry slot in without touching this module.
 
 Weight layouts follow PyTorch:
@@ -193,8 +193,8 @@ def conv_bias_act_nd_forward(
 ) -> np.ndarray:
     """Convolution + bias + Leaky-ReLU as one kernel (inference form).
 
-    The reference composes the conv kernel and the activation; the opt
-    backend fuses the activation into the conv's output pass.
+    The reference composes the conv kernel and the activation; the
+    fast backend applies the activation in place on its conv output.
     """
     out, _, _ = conv_nd_forward(x, w, bias, stride, padding, want_cols=False)
     return np.where(out > 0, out, negative_slope * out)

@@ -12,8 +12,8 @@ same dispatch patterns thousands of times per scan:
   ``fast`` backend feeds the up-sampled map straight into its FFT
   deconvolution.
 - ``conv_batch`` — multi-scan convolution for a serving batch.  The
-  ``reference``/``opt`` entries run the *honest* scan-at-a-time loop
-  (exactly what per-request dispatch costs today); the ``fast`` entry
+  ``reference`` entry runs the *honest* scan-at-a-time loop (exactly
+  what per-request dispatch costs today); the ``fast`` entry
   (:mod:`repro.backend.fast`) stacks the scans into one batched call so
   the filter transform and dispatch overhead are amortized across the
   batch — the Table 7 rationale applied to PR 6's per-stage batching.
@@ -43,8 +43,8 @@ from repro.tensor.tensor import Tensor, as_tensor
 
 
 # ---------------------------------------------------------------------------
-# Raw kernels (``reference`` + ``opt`` backends; ``fast`` registers its
-# FFT-based variants in repro.backend.fast)
+# Raw kernels (``reference`` backend; ``fast`` registers its FFT-based
+# variants in repro.backend.fast)
 # ---------------------------------------------------------------------------
 def unpool_deconv_nd_forward(
     x: np.ndarray, w: np.ndarray, y_shape: Tuple[int, ...], scale, stride, padding
@@ -52,15 +52,6 @@ def unpool_deconv_nd_forward(
     """Bilinear unpool then stride-``stride`` deconvolution (reference)."""
     up = upsample_bilinear_forward(x, scale)
     return conv_nd_input_grad(up, w, y_shape, stride, padding)
-
-
-def unpool_deconv_nd_forward_opt(
-    x: np.ndarray, w: np.ndarray, y_shape: Tuple[int, ...], scale, stride, padding
-) -> np.ndarray:
-    from repro.backend.opt import conv_nd_input_grad_opt
-
-    up = upsample_bilinear_forward(x, scale)
-    return conv_nd_input_grad_opt(up, w, y_shape, stride, padding)
 
 
 def conv_batch_nd_forward(
@@ -86,25 +77,6 @@ def conv_batch_nd_forward(
     return np.stack(outs)
 
 
-def conv_batch_nd_forward_opt(
-    xs: Sequence[np.ndarray], w: np.ndarray, bias: Optional[np.ndarray],
-    stride, padding, negative_slope: Optional[float] = None,
-) -> np.ndarray:
-    from repro.backend.opt import conv_bias_act_nd_forward_opt, conv_nd_forward_opt
-
-    outs = []
-    for x in xs:
-        xb = np.asarray(x)[None]
-        if negative_slope is not None:
-            out = conv_bias_act_nd_forward_opt(xb, w, bias, stride, padding,
-                                               negative_slope)
-        else:
-            out, _, _ = conv_nd_forward_opt(xb, w, bias, stride, padding,
-                                            want_cols=False)
-        outs.append(out[0])
-    return np.stack(outs)
-
-
 # ---------------------------------------------------------------------------
 # Analytic per-dispatch counts (composition of the component counts)
 # ---------------------------------------------------------------------------
@@ -123,10 +95,8 @@ def _conv_batch_dispatch_counts(result, xs, w, *args, **kwargs) -> OpCounts:
 
 register_kernel("unpool_deconv", "reference", kind="deconvolution",
                 counts=_unpool_deconv_dispatch_counts)(unpool_deconv_nd_forward)
-register_kernel("unpool_deconv", "opt")(unpool_deconv_nd_forward_opt)
 register_kernel("conv_batch", "reference", kind="convolution",
                 counts=_conv_batch_dispatch_counts)(conv_batch_nd_forward)
-register_kernel("conv_batch", "opt")(conv_batch_nd_forward_opt)
 
 
 # ---------------------------------------------------------------------------

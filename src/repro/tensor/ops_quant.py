@@ -85,7 +85,5 @@ register_kernel("dequantize_linear", "reference", kind="dequantize",
                 counts=_dequantize_dispatch_counts)(dequantize_linear_kernel)
 
 # Quantization is a one-shot transform, not a serving hot path: the
-# reference kernels are the opt entries too (the fast aliases are
-# declared in repro.backend.fast.FALLBACK_OPS).
-register_kernel("quantize_linear", "opt")(quantize_linear_kernel)
-register_kernel("dequantize_linear", "opt")(dequantize_linear_kernel)
+# fast aliases of these kernels are declared in
+# repro.backend.fast.FALLBACK_OPS.

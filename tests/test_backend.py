@@ -1,7 +1,7 @@
 """Tests for the kernel-dispatch registry, backends, and calibration.
 
 Covers the contract every backend must honor: registration semantics,
-bit-identical parity with ``reference`` across shapes / strides /
+tiered parity with ``reference`` across shapes / strides /
 dimensionalities / dtypes, dispatch-level telemetry, per-module backend
 selection, cache invalidation, and the measured-execution calibration
 loop that feeds the serving scheduler.
@@ -37,7 +37,7 @@ ALL_OPS = (
     "maxpool", "quantize_linear", "relu", "unpool", "unpool_deconv",
 )
 
-ALL_BACKENDS = ("fast", "opt", "reference")
+ALL_BACKENDS = ("fast", "reference")
 
 OP_KINDS = {
     "conv": "convolution", "deconv": "deconvolution",
@@ -70,7 +70,7 @@ def _assert_same(a, b):
 
 
 def _assert_parity(backend, reference, candidate, context=""):
-    """Tier-aware parity: bit for ``opt``, ulp tolerance for ``fast``."""
+    """Tier-aware parity: bit for ``reference``, ulp tolerance for ``fast``."""
     from repro.backend.precision import assert_tier, tier_for
 
     assert_tier(tier_for(backend), reference, candidate,
@@ -82,6 +82,7 @@ class TestRegistry:
         assert tuple(known_ops()) == ALL_OPS
 
     def test_all_backends_for_every_op(self):
+        assert known_backends() == ["fast", "reference"]
         for op in known_ops():
             assert known_backends(op) == list(ALL_BACKENDS), op
 
@@ -109,18 +110,32 @@ class TestRegistry:
             dispatch("conv", 1, backend="cuda")
 
     def test_backend_selection_precedence(self, rng):
-        x = rng.normal(size=(1, 2, 5, 5))
-        # thread default < use_backend scope < explicit argument: all
-        # three produce identical results, so verify via the filter
-        # cache that the opt path really ran.
-        from repro.backend.opt import clear_filter_cache, filter_cache_size
-        w = rng.normal(size=(2, 2, 3, 3))
-        clear_filter_cache()
-        with no_grad():
-            dispatch("conv", x, w, None, 1, 1, want_cols=False,
-                     backend="opt")
-        assert filter_cache_size() == 1
-        clear_filter_cache()
+        # thread default < use_backend scope < explicit argument.  A
+        # 5x5 no_grad conv on ``fast`` leaves an FFT filter transform in
+        # the cache and ``reference`` leaves none, which witnesses the
+        # backend that really ran.
+        from repro.backend.fast import clear_fft_cache, fft_cache_size
+
+        x = rng.normal(size=(1, 2, 8, 8))
+        w = rng.normal(size=(2, 2, 5, 5))
+
+        def ran_fast(**kwargs):
+            clear_fft_cache()
+            with no_grad():
+                dispatch("conv", x, w, None, 1, 2, want_cols=False, **kwargs)
+            return fft_cache_size() == 1
+
+        try:
+            set_default_backend("fast")
+            assert ran_fast()
+            with use_backend("reference"):
+                assert not ran_fast()
+                assert ran_fast(backend="fast")
+            with use_backend("fast"):
+                assert not ran_fast(backend="reference")
+        finally:
+            set_default_backend(None)
+            clear_fft_cache()
 
     def test_set_default_backend_validates(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -130,17 +145,17 @@ class TestRegistry:
     def test_use_backend_restores_previous(self, rng):
         from repro.backend.registry import get_backend
         assert get_backend() == "reference"
-        with use_backend("opt"):
-            assert get_backend() == "opt"
+        with use_backend("fast"):
+            assert get_backend() == "fast"
             with use_backend(None):
                 assert get_backend() == "reference"
-            assert get_backend() == "opt"
+            assert get_backend() == "fast"
         assert get_backend() == "reference"
 
 
 class TestBackendParity:
-    """Every backend must meet its tier against ``reference`` for every op:
-    ``opt`` bit-identical, ``fast`` within the dtype-aware ulp tolerance."""
+    """``fast`` must agree with ``reference`` for every op within the
+    dtype-aware ulp tolerance."""
 
     # (x_shape, w_shape, stride, padding): odd spatial sizes, stride >
     # 1, 5×5 FFT-eligible kernels, and 3D volumes all covered.
@@ -152,7 +167,7 @@ class TestBackendParity:
         ((1, 3, 6, 5, 4), (2, 3, 2, 2, 2), 2, 0),
     ]
 
-    BACKENDS = ("opt", "fast")
+    BACKENDS = ("fast",)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -262,8 +277,8 @@ class TestBackendParity:
         for backend in known_backends():
             fused = dispatch("conv_bias_act", x, w, bias, 1, 1, 0.01,
                              backend=backend)
-            _assert_parity(backend if backend != "reference" else "opt",
-                           expected, fused, "conv_bias_act composition")
+            _assert_parity(backend, expected, fused,
+                           "conv_bias_act composition")
 
 
 try:
@@ -271,9 +286,9 @@ try:
     from hypothesis import strategies as st
 
     class TestParityProperty:
-        """Property-based parity: random shapes/strides/kernels hold each
-        backend's tier (``opt`` bit-identical, ``fast`` ulp — kernels up
-        to 5×5 so the FFT path is sampled, not just the tiled fallback)."""
+        """Property-based parity: random shapes/strides/kernels hold the
+        ``fast`` backend's ulp tier (kernels up to 5×5 so the FFT path is
+        sampled, not just the reference fallback)."""
 
         @given(
             n=st.integers(1, 2), c=st.integers(1, 3), f=st.integers(1, 3),
@@ -281,11 +296,11 @@ try:
             k=st.integers(1, 5), stride=st.integers(1, 2),
             padding=st.integers(0, 2), seed=st.integers(0, 2**16),
             f32=st.booleans(),
-            backend=st.sampled_from(["opt", "fast"]),
         )
         @settings(max_examples=40, deadline=None)
         def test_conv_and_deconv_parity(self, n, c, f, h, wdt, k, stride,
-                                        padding, seed, f32, backend):
+                                        padding, seed, f32):
+            backend = "fast"
             rng = np.random.default_rng(seed)
             dtype = np.float32 if f32 else np.float64
             x = rng.normal(size=(n, c, h, wdt)).astype(dtype)
@@ -351,8 +366,8 @@ class TestModuleBackend:
         net = nn.Sequential(nn.Conv2d(1, 2, 3), nn.ReLU(),
                             nn.Sequential(nn.Conv2d(2, 1, 3)))
         assert net.backend is None
-        net.to_backend("opt")
-        assert all(m.backend == "opt" for m in net.modules())
+        net.to_backend("fast")
+        assert all(m.backend == "fast" for m in net.modules())
         net.to_backend(None)
         assert all(m.backend is None for m in net.modules())
         with pytest.raises(ValueError, match="unknown backend"):
@@ -366,49 +381,16 @@ class TestModuleBackend:
         x = Tensor(rng.normal(size=(1, 1, 16, 16)))
         with no_grad():
             ref = model(x).data
-            model.to_backend("opt")
-            opt = model(x).data
-        assert np.array_equal(ref, opt)
+            model.to_backend("fast")
+            fast = model(x).data
+        _assert_parity("fast", ref, fast, "DDnet forward")
 
     def test_pipeline_backend_threads_through(self, rng):
         from repro.pipeline import ComputeCovid19Plus
 
-        fw = ComputeCovid19Plus(backend="opt")
-        assert fw.enhancement.model.backend == "opt"
-        assert fw.classification.model.backend == "opt"
-
-
-class TestOptCaches:
-    def test_filter_cache_hit_and_invalidation(self, rng):
-        from repro.backend.opt import clear_filter_cache, filter_cache_size
-
-        clear_filter_cache()
-        layer = nn.Conv2d(2, 3, 3, rng=np.random.default_rng(1))
-        layer.to_backend("opt")
-        x = Tensor(rng.normal(size=(1, 2, 6, 6)))
-        with no_grad():
-            layer(x)
-            assert filter_cache_size() == 1
-            layer(x)
-            assert filter_cache_size() == 1  # hit, not a second entry
-        # load_state_dict replaces weight arrays -> cache must drop.
-        layer.load_state_dict(layer.state_dict())
-        assert filter_cache_size() == 0
-        with no_grad():
-            layer(x)
-            assert filter_cache_size() == 1
-        layer.to_dtype(np.float32)
-        assert filter_cache_size() == 0
-        clear_filter_cache()
-
-    def test_grad_mode_bypasses_filter_cache(self, rng):
-        from repro.backend.opt import clear_filter_cache, filter_cache_size
-
-        clear_filter_cache()
-        x = rng.normal(size=(1, 2, 5, 5))
-        w = rng.normal(size=(2, 2, 3, 3))
-        dispatch("conv", x, w, None, 1, 1, want_cols=True, backend="opt")
-        assert filter_cache_size() == 0  # training path: no stale risk
+        fw = ComputeCovid19Plus(backend="fast")
+        assert fw.enhancement.model.backend == "fast"
+        assert fw.classification.model.backend == "fast"
 
 
 class TestCounters3d:
@@ -450,7 +432,7 @@ class TestCalibration:
             assert coeff.backend == "reference"
         assert cal.backend == "reference"
 
-    @pytest.mark.parametrize("backend", ["opt", "fast"])
+    @pytest.mark.parametrize("backend", ["fast"])
     def test_calibrate_host_runs_under_requested_backend(self, backend):
         cal = calibrate_host(sizes=(8,), repeats=1, warmup=0,
                              backend=backend)
@@ -467,7 +449,8 @@ class TestCalibration:
         coeffs = dict(cal.coefficients)
         coeffs["conv"] = OpCoefficients(
             op="conv", kind="convolution", unit="flops",
-            seconds_per_unit=1e-9, overhead_s=0.0, samples=3, backend="opt")
+            seconds_per_unit=1e-9, overhead_s=0.0, samples=3,
+            backend="reference")
         with pytest.raises(ValueError, match="mixed-backend"):
             KernelCalibration(host="test-host", backend="fast",
                               coefficients=coeffs)
@@ -575,7 +558,7 @@ class TestCalibratedPerfModel:
         """Re-calibrating under ``fast`` changes perf-aware placement.
 
         The fast backend's FFT deconvolution collapses the measured
-        deconv cost; a host whose ``opt`` calibration shows expensive
+        deconv cost; a host whose ``reference`` calibration shows expensive
         deconvolution picks the T4 (smaller deconv share), while the
         same host re-calibrated under ``fast`` (deconv back in line
         with conv) flips the perf-aware scheduler back to the P100.
@@ -595,9 +578,10 @@ class TestCalibratedPerfModel:
                 service_model=ServiceTimeModel(perf_model=model))
             return sched.pick(batch, now=0.0).spec.name
 
-        opt_cal = _synthetic_calibration(backend="opt", deconv_rate=20e-9)
+        ref_cal = _synthetic_calibration(backend="reference",
+                                         deconv_rate=20e-9)
         fast_cal = _synthetic_calibration(backend="fast")
-        assert pick(opt_cal) == "Nvidia T4 GPU"
+        assert pick(ref_cal) == "Nvidia T4 GPU"
         assert pick(fast_cal) == "Nvidia P100 GPU"
 
     def test_service_time_model_calibrated_integration(self):
@@ -659,9 +643,8 @@ class TestKernelBench:
         payload = run_kernel_bench(quick=True, repeats=1, size=12,
                                    with_calibration=False,
                                    with_precision=False)
-        assert payload["bench"] == "kernels" and payload["schema"] == 2
-        assert payload["backends"] == ["reference", "fast", "opt"] or \
-            payload["backends"][0] == "reference"
+        assert payload["bench"] == "kernels" and payload["schema"] == 3
+        assert payload["backends"] == ["reference", "fast"]
         assert set(payload["ops"]) == set(known_ops())
         assert payload["parity_ok"] is True and payload["gate_ok"] is True
         for op, entry in payload["ops"].items():
@@ -670,9 +653,8 @@ class TestKernelBench:
                 if backend != "reference":
                     parity = entry["parity"][backend]
                     assert parity["ok"] is True, (op, backend)
-                    assert parity["tier"] == ("ulp" if backend == "fast"
-                                              else "bit")
-            assert set(entry["speedups"]) == {"opt", "fast"}
+                    assert parity["tier"] == "ulp"
+            assert set(entry["speedups"]) == {"fast"}
             assert payload["speedup_matrix"][op] == entry["speedups"]
         assert payload["host"]["cpu_count"] >= 1
         summary = format_kernel_summary(payload)
@@ -684,11 +666,11 @@ class TestKernelBench:
         payload = run_kernel_bench(quick=True, repeats=1, size=12,
                                    with_calibration=False,
                                    with_precision=False,
-                                   backends=["fast"])
-        # The baseline joins automatically; only fast rides along.
-        assert payload["backends"] == ["reference", "fast"]
+                                   backends=["reference"])
+        # The baseline is benched once; fast is left out.
+        assert payload["backends"] == ["reference"]
         for entry in payload["ops"].values():
-            assert "opt" not in entry and set(entry["speedups"]) == {"fast"}
+            assert "fast" not in entry and entry["speedups"] == {}
         with pytest.raises(ValueError, match="unknown backends"):
             run_kernel_bench(quick=True, backends=["cuda"])
 
@@ -698,8 +680,8 @@ class TestKernelBench:
         payload = run_kernel_bench(quick=True, repeats=1, size=12,
                                    with_calibration=True,
                                    with_precision=False,
-                                   backends=["opt"])
-        assert set(payload["calibrations"]) == {"reference", "opt"}
+                                   backends=["fast"])
+        assert set(payload["calibrations"]) == {"reference", "fast"}
         for backend, blob in payload["calibrations"].items():
             cal = KernelCalibration.from_dict(blob)
             assert cal.backend == backend
@@ -713,10 +695,9 @@ class TestKernelBench:
                                    with_precision=True,
                                    backends=["fast"])
         arm = payload["precision"]
-        assert set(arm["modes"]) == {"float16", "int8"}
-        for mode, m in arm["modes"].items():
-            assert m["ok"] is True, (mode, m["metrics"])
-            assert set(m["floor_checks"]) == {"ms_ssim", "psnr_db"}
-        assert arm["modes"]["float16"]["output_dtype"] == "float16"
-        assert arm["modes"]["int8"]["quantized_params"] > 0
+        assert set(arm["modes"]) == {"int8"}
+        m = arm["modes"]["int8"]
+        assert m["ok"] is True, m["metrics"]
+        assert set(m["floor_checks"]) == {"ms_ssim", "psnr_db"}
+        assert m["quantized_params"] > 0
         assert payload["precision_ok"] is True and payload["gate_ok"] is True

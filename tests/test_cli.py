@@ -44,6 +44,12 @@ class TestCli:
         np.save(path, chest_volume(16, 16, rng=np.random.default_rng(0)))
         assert main(["diagnose", "--input", path, "--no-enhancement"]) == 0
 
+    def test_diagnose_rejects_unknown_backend(self, capsys):
+        assert main(["diagnose", "--backend", "opt"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown backend 'opt'")
+        assert err.count("\n") == 1
+
     def test_serve_reports_metrics(self, capsys):
         assert main(["serve", "--requests", "40", "--rate", "10",
                      "--policy", "perf-aware"]) == 0

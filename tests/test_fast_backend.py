@@ -1,10 +1,11 @@
-"""Tests for the ``fast`` backend: FFT conv, tiling, caches, fused ops.
+"""Tests for the ``fast`` backend: FFT conv, fallbacks, caches, fused ops.
 
 The backend-wide parity grid lives in ``test_backend.py``; this module
 covers the fast backend's *mechanisms* — crossover selection, the
 filter-transform FFT cache and its invalidation hooks (including the
-dtype/backend composition edge cases), the fused decoder pair on DDnet,
-and the batched multi-scan functional wrapper.
+dtype/backend composition edge cases and in-place weight updates), the
+fused decoder pair on DDnet, the batched multi-scan functional wrapper,
+and the bit-identical reference fallbacks.
 """
 
 import numpy as np
@@ -65,7 +66,7 @@ class TestCrossover:
         assert not fft_eligible((1, 1), (1, 1))
         assert not fft_eligible((5, 5), (2, 2))      # strided: gather path
 
-    def test_strided_and_small_kernels_use_tiled_path(self, rng):
+    def test_strided_and_small_kernels_skip_fft(self, rng):
         # Sub-crossover convs must not populate the FFT cache.
         x = rng.normal(size=(1, 2, 8, 8))
         w3 = rng.normal(size=(2, 2, 3, 3))
@@ -97,6 +98,48 @@ class TestFFTCache:
         w = rng.normal(size=(2, 2, 5, 5))
         dispatch("conv", x, w, None, 1, 2, want_cols=False, backend="fast")
         assert fft_cache_size() == 0
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_optimizer_step_invalidates(self, rng, optimizer):
+        """An in-place weight update must not leave stale transforms."""
+        layer = nn.Conv2d(2, 3, 5, padding=2, rng=np.random.default_rng(1))
+        layer.to_backend("fast")
+        x = Tensor(rng.normal(size=(1, 2, 8, 8)))
+        with no_grad():
+            layer(x)
+        assert fft_cache_size() == 1
+        opt = (nn.Adam(layer.parameters(), lr=0.1) if optimizer == "adam"
+               else nn.SGD(layer.parameters(), lr=0.1))
+        layer(x).sum().backward()
+        opt.step()
+        assert fft_cache_size() == 0
+        with no_grad():
+            fast = layer(x).data
+            layer.to_backend("reference")
+            ref = layer(x).data
+        assert allclose_ulp(ref, fast)
+
+    def test_validation_after_training_matches_reference(self, rng):
+        """Trainer.fit validates every epoch on the weights of that epoch."""
+        from repro.pipeline.training import Trainer
+
+        x = rng.normal(size=(4, 1, 8, 8))
+        y = rng.normal(size=(4, 1, 8, 8))
+        ds = nn.TensorDataset(x, y)
+        val_losses = {}
+        for backend in ("reference", "fast"):
+            model = nn.Sequential(
+                nn.Conv2d(1, 2, 5, padding=2, rng=np.random.default_rng(1)),
+                nn.ReLU(),
+                nn.Conv2d(2, 1, 5, padding=2, rng=np.random.default_rng(2)),
+            ).to_backend(backend)
+            hist = Trainer(model, nn.Adam(model.parameters(), lr=0.05),
+                           nn.MSELoss()).fit(
+                nn.DataLoader(ds, batch_size=2), epochs=2,
+                val_loader=nn.DataLoader(ds, batch_size=4))
+            val_losses[backend] = np.array(hist.val_loss)
+        assert val_losses["reference"][0] != val_losses["reference"][1]
+        assert allclose_ulp(val_losses["reference"], val_losses["fast"])
 
     def test_load_state_dict_after_to_dtype_invalidates(self, rng):
         """The satellite-4 composition edge case: ``to_dtype(float16)``
@@ -225,6 +268,37 @@ class TestFallbacks:
             if isinstance(via_target, tuple):  # pooling kernels return extras
                 via_target, via_fast = via_target[0], via_fast[0]
             assert bit_identical(via_target, via_fast), op
+
+    @pytest.mark.parametrize("case", [
+        ((1, 3, 7, 6), (4, 3, 3, 3), 1, 1),        # below the crossover
+        ((2, 2, 8, 8), (3, 2, 1, 1), 1, 0),        # 1x1
+        ((1, 2, 9, 9), (3, 2, 5, 5), 2, 2),        # strided 5x5
+        ((1, 2, 5, 6, 4), (2, 2, 3, 3, 3), 2, 1),  # strided 3-d
+    ])
+    def test_small_and_strided_convs_bit_match_reference(self, rng, case):
+        x_shape, w_shape, stride, padding = case
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=w_shape)
+        bias = rng.normal(size=w_shape[0])
+        with no_grad():
+            for want_cols in (False, True):
+                ref = dispatch("conv", x, w, bias, stride, padding,
+                               want_cols=want_cols, backend="reference")
+                fast = dispatch("conv", x, w, bias, stride, padding,
+                                want_cols=want_cols, backend="fast")
+                assert bit_identical(ref, fast), want_cols
+            g = ref[0]
+            assert bit_identical(
+                dispatch("deconv", g, w, x.shape, stride, padding,
+                         backend="reference"),
+                dispatch("deconv", g, w, x.shape, stride, padding,
+                         backend="fast"))
+            assert bit_identical(
+                dispatch("conv_bias_act", x, w, bias, stride, padding, 0.01,
+                         backend="reference"),
+                dispatch("conv_bias_act", x, w, bias, stride, padding, 0.01,
+                         backend="fast"))
+        assert fft_cache_size() == 0
 
     def test_every_op_covered(self):
         from repro.backend.registry import known_ops

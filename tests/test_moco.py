@@ -53,6 +53,21 @@ class TestMechanics:
         after = moco.encoder_k.parameters()[0].data
         assert np.allclose(after, 0.5 * before + 0.5 * target)
 
+    def test_momentum_update_drops_fast_filter_transforms(self, rng):
+        from repro.backend.fast import clear_fft_cache, fft_cache_size
+        from repro.backend.registry import dispatch
+        from repro.tensor import no_grad
+
+        moco = MoCoLite(encoder=small_encoder(), momentum=0.5)
+        clear_fft_cache()
+        with no_grad():
+            dispatch("conv", rng.normal(size=(1, 2, 8, 8)),
+                     rng.normal(size=(2, 2, 5, 5)), None, 1, 2,
+                     want_cols=False, backend="fast")
+        assert fft_cache_size() == 1
+        moco._momentum_update()  # key-branch weights change in place
+        assert fft_cache_size() == 0
+
     def test_queue_wraps_fifo(self, rng):
         moco = MoCoLite(encoder=small_encoder(), queue_size=4, proj_dim=8)
         keys = rng.normal(size=(6, 8))
