@@ -236,7 +236,7 @@ def conv_nd_input_grad_fast(
     The padded transposed-conv output is exactly the full linear
     convolution of ``g`` with the *unflipped* kernel, contracted over
     the filter axis; strided or sub-crossover cases use the reference
-    gather kernel.
+    kernel (its gather or scatter form, whichever the shape selects).
     """
     nd = w.ndim - 2
     stride_t = _tuplify(stride, nd)

@@ -18,10 +18,14 @@ volumetric classification/segmentation stacks):
   OpenCL baseline is orders of magnitude slower (Table 7).
 - :func:`deconv_nd_refactored_kernel` — inverse coefficient mapping
   (Fig. 9b): each *output* element gathers the input elements that
-  affect it, multiply-adds privately, and writes once.
+  affect it, multiply-adds privately, and writes once.  It dispatches
+  ``deconv``, whose ``reference`` kernel runs this gather at stride 1
+  when the input has no more channels than the output, and the
+  GEMM + col2im scatter otherwise (strided or channel-narrowing
+  shapes; see :func:`repro.tensor.ops_conv.conv_nd_input_grad`).
 
-Both produce identical results (tested, 2D and 3D); only the memory
-traffic differs.
+Both produce the same results to rounding (tested, 2D and 3D); only
+the memory traffic differs.
 """
 
 from __future__ import annotations
@@ -111,9 +115,11 @@ def deconv_nd_refactored_kernel(x: np.ndarray, w: np.ndarray, stride=1, padding=
     """Fig. 9b: gather deconvolution via inverse coefficient mapping.
 
     Determines, per output element, the contributing input block, and
-    performs all multiply-adds before a single store — implemented as
-    the adjoint-convolution gather (col2im), which is the same
-    refactoring expressed with matrices.
+    performs all multiply-adds before a single store.  Through the
+    ``deconv`` dispatch this runs as the gather (a stride-1 conv of the
+    padded input with the flipped filter) at stride 1 with
+    ``C_in ≤ C_out``, and as the GEMM + col2im scatter on every other
+    shape.  The counts are Table 6's conv counts either way.
     """
     nd = w.ndim - 2
     n, c = x.shape[:2]

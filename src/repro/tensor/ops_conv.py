@@ -5,11 +5,19 @@ gathered with :func:`numpy.lib.stride_tricks.sliding_window_view` (a
 view, no copy, per the scientific-python guide) and the convolution
 becomes a single large matmul that BLAS executes with near-peak
 throughput.  The transposed convolution — the paper's expensive
-"deconvolution" kernel (§4.2.1, Fig. 9) — is implemented as the exact
-adjoint (``col2im`` scatter-add), which is precisely the *refactored*
-inverse-coefficient-mapping formulation the paper uses for its OpenCL
-kernels.  A literal, naive deconvolution (one scatter per partial sum)
-lives in :mod:`repro.hetero.kernels` for the Fig. 9 / Table 7
+"deconvolution" kernel (§4.2.1, Fig. 9), which is also every conv's
+input gradient — has two forms in :func:`conv_nd_input_grad`:
+
+- at stride 1 with ``0 ≤ padding < kernel`` and no more input than
+  output channels, the *refactored* inverse-coefficient-mapping gather
+  of Fig. 9b: the forward im2col conv of the padded input with the
+  flipped filter, so each output element is written once;
+- otherwise (strided, channel-narrowing or over-padded) the exact
+  adjoint: one GEMM, then ``col2im``'s per-kernel-offset strided
+  scatter-adds.
+
+A literal, naive deconvolution (one scatter per partial sum) lives in
+:mod:`repro.hetero.kernels` for the Fig. 9 / Table 7
 baseline-vs-refactored comparison.
 
 Execution goes through the :mod:`repro.backend` registry: the raw
@@ -86,8 +94,10 @@ def _col2im(
 ) -> np.ndarray:
     """Scatter-add patches back to a padded (N, C, *spatial) array.
 
-    ``cols`` has shape ``(N, *out_spatial, C, *kernel)``.  The loop runs
-    over kernel offsets only (≤ 125 iterations for a 5³ kernel); each
+    The scatter half of the input gradient's non-gather form
+    (:func:`_input_grad_scatter`).  ``cols`` has shape
+    ``(N, *out_spatial, C, *kernel)``.  The loop runs over kernel
+    offsets only (≤ 125 iterations for a 5³ kernel); each
     iteration is a fully vectorized strided-slice add.
     """
     nd = len(kernel)
@@ -157,12 +167,41 @@ def conv_nd_input_grad(
 ) -> np.ndarray:
     """Gradient of conv w.r.t. its input (also = transposed-conv forward).
 
-    This *is* the paper's refactored deconvolution (Fig. 9b): every
-    output element gathers its contributing inputs and writes once.
+    At stride 1 with ``0 ≤ padding < kernel`` and no more ``g`` channels
+    than ``x`` channels (F ≤ C) this is the paper's refactored
+    deconvolution (Fig. 9b): every output element gathers its
+    contributing inputs and writes once, run as the forward im2col conv
+    of ``g`` — padded by ``k-1-p`` — with the flipped, in/out-swapped
+    filter.  Per output site the gather's patch buffer holds F·∏k
+    values and the scatter's C·∏k, so the gather pays exactly when
+    F ≤ C.  Every other call (strided, narrowing, over-padded) runs the
+    scatter form, :func:`_input_grad_scatter`.
     """
     nd = w.ndim - 2
     stride = _tuplify(stride, nd)
     padding = _tuplify(padding, nd)
+    kernel = w.shape[2:]
+    if (all(s == 1 for s in stride) and all(0 <= p < k for p, k in zip(padding, kernel))
+            and w.shape[0] <= w.shape[1]):
+        # Low side k-1-p; the high side also absorbs any output_padding.
+        pads = [(0, 0), (0, 0)] + [
+            (k - 1 - p, x - gs + p)
+            for k, p, x, gs in zip(kernel, padding, x_shape[2:], g.shape[2:])]
+        gp = np.pad(g, pads) if any(lo or hi for lo, hi in pads) else g
+        flip = (slice(None), slice(None)) + (slice(None, None, -1),) * nd
+        out, _, _ = conv_nd_forward(gp, w[flip].swapaxes(0, 1), None, 1, 0,
+                                    want_cols=False)
+        return out
+    return _input_grad_scatter(g, w, x_shape, stride, padding)
+
+
+def _input_grad_scatter(
+    g: np.ndarray, w: np.ndarray, x_shape: Tuple[int, ...],
+    stride: Tuple[int, ...], padding: Tuple[int, ...],
+) -> np.ndarray:
+    """Scatter-form input gradient: one GEMM into an ``(N, *out, C, *k)``
+    buffer, then :func:`_col2im`'s ∏k strided scatter-adds."""
+    nd = w.ndim - 2
     kernel = w.shape[2:]
     n, f = g.shape[0], g.shape[1]
     out_spatial = g.shape[2:]
@@ -304,9 +343,10 @@ def conv_transpose_nd(x, w, bias=None, stride=1, padding=0, output_padding=0,
     )
     if any(o <= 0 for o in out_spatial):
         raise ValueError(f"non-positive transposed-conv output shape {out_spatial}")
-    # Forward is exactly conv_nd_input_grad (the gather / Fig. 9b
-    # formulation) with the weight seen as a (C_in=F, C_out, *k) conv
-    # filter and x playing the output-grad role.
+    # Forward is exactly conv_nd_input_grad with the weight seen as a
+    # (C_in=F, C_out, *k) conv filter and x playing the output-grad
+    # role: the Fig. 9b gather at stride 1 when C_in <= C_out, the
+    # col2im scatter otherwise.
     y_shape = (x.data.shape[0], w.data.shape[1]) + out_spatial
     out_data = dispatch("deconv", x.data, w.data, y_shape, stride_t, padding_t,
                         backend=backend)

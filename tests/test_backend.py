@@ -347,6 +347,30 @@ class TestTelemetry:
         assert sink.rows[1][0] == "relu"
         assert sink.rows[1][1] == "relu"  # site defaults to the op name
 
+    def test_gather_deconv_counts_are_the_equivalent_conv(self, rng):
+        """Table 6: a stride-1 gather deconv is counted as the stride-1
+        conv it runs — output x, F input channels, the same kernel."""
+        from repro.backend.counters import conv_counts_nd
+
+        class Sink:
+            def __init__(self):
+                self.counts = []
+
+            def record(self, kind, site, counts, time_s):
+                self.counts.append(counts)
+
+        g = rng.normal(size=(2, 3, 8, 8))
+        w = rng.normal(size=(3, 5, 5, 5))  # F = 3 <= C = 5: the gather
+        x_shape = (2, 5, 8, 8)
+        gp = np.pad(g, [(0, 0), (0, 0), (2, 2), (2, 2)])
+        sink = Sink()
+        with trace_dispatches(sink):
+            dispatch("deconv", g, w, x_shape, 1, 2, backend="reference")
+            dispatch("conv", gp, w[:, :, ::-1, ::-1].swapaxes(0, 1), None, 1, 0,
+                     want_cols=False, backend="reference")
+        deconv, conv = sink.counts
+        assert deconv == conv == conv_counts_nd((8, 8), 5, 3, (5, 5), batch=2)
+
     def test_no_sink_no_overhead_path(self, rng):
         # Outside trace_dispatches the sink is None; dispatch must not
         # record anywhere (smoke: just runs).

@@ -154,12 +154,13 @@ class TestKernels:
 
         x = rng.normal(size=(1, 2, 3, 4, 4))
         w = rng.normal(size=(2, 3, 3, 3, 3))
-        stride, padding = 2, 1
-        res = deconv3d_refactored_kernel(x, w, stride, padding)
-        out_shape = (1, 3) + tuple(
-            (s - 1) * stride + 3 - 2 * padding for s in x.shape[2:])
-        ref = conv_nd_input_grad(x, w, out_shape, stride, padding)
-        assert np.array_equal(res.output, ref)
+        # Stride 2 runs the scatter form; stride 1 with F <= C the gather.
+        for stride, padding in [(2, 1), (1, 1)]:
+            res = deconv3d_refactored_kernel(x, w, stride, padding)
+            out_shape = (1, 3) + tuple(
+                (s - 1) * stride + 3 - 2 * padding for s in x.shape[2:])
+            ref = conv_nd_input_grad(x, w, out_shape, stride, padding)
+            assert np.array_equal(res.output, ref), (stride, padding)
 
     def test_refactored_fewer_memory_ops_3d(self, rng):
         """Table 6's store asymmetry carries over to the 3D kernels."""
