@@ -16,7 +16,7 @@ from repro.hetero import (
     kernel_op_counts,
     table6_counts,
 )
-from repro.hetero.counters import PAPER_TABLE6_MILLIONS
+from repro.backend.counters import PAPER_TABLE6_MILLIONS
 from repro.hetero.kernels import leaky_relu_kernel, maxpool_kernel, unpool_bilinear_kernel
 from repro.report import format_table
 

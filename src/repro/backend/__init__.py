@@ -7,7 +7,7 @@ architecture, reproduced for the NumPy engine):
   registry; ``reference`` is the classic numpy path, ``fast`` the FFT
   kernels (parity-gated in tests and in ``repro bench kernels``),
 - :mod:`~repro.backend.counters` — the analytic Table 6 operation
-  counters (N-dimensional; re-exported by :mod:`repro.hetero.counters`),
+  counters (N-dimensional; :mod:`repro.hetero` prices Table 6 with them),
 - :mod:`~repro.backend.fast` — the ulp-tier backend: FFT
   convolution/deconvolution with a filter-transform cache, fused
   unpool+deconv, and batched multi-scan conv; every other case runs

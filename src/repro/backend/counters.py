@@ -17,8 +17,7 @@ Table 6 and validated against it in the test suite):
 
 This module lives under :mod:`repro.backend` (not :mod:`repro.hetero`)
 because it is a leaf both the kernel-dispatch registry and the hetero
-simulation import; :mod:`repro.hetero.counters` re-exports everything
-for backwards compatibility.
+simulation import.
 """
 
 from __future__ import annotations

@@ -188,6 +188,22 @@ def _print_kind_block(summary) -> None:
               f"SLO attainment {block['slo_attainment']:.1%}")
 
 
+def _print_stage_block(summary) -> None:
+    """Per-stage lines shared by ``serve`` and ``trace summary`` (both
+    read the same bit-identical stage counters; swaps, skips and
+    route-arounds are zero outside DAG mode)."""
+    stages = ", ".join(f"{k}={v}" for k, v in
+                       summary["stage_completions"].items()) or "none"
+    print(f"  stages    : stage batches {stages}; "
+          f"{summary['artifact_entries']} artifact fast-path entries "
+          f"({summary['stages_skipped']} stages skipped); "
+          f"{summary['model_swaps']} model swaps "
+          f"({summary['model_evictions']} evictions)")
+    if summary["stage_degraded_requests"]:
+        print(f"  stages    : {summary['stage_degraded_requests']} "
+              "requests routed around a failed skippable stage")
+
+
 def _cmd_serve(args) -> int:
     import json
 
@@ -255,16 +271,7 @@ def _cmd_serve(args) -> int:
               f"({art['hits']} hits, {art['misses']} misses, "
               f"{art['evictions']} evictions, "
               f"{art['resident_bytes']} bytes resident)")
-        stages = ", ".join(f"{k}={v}" for k, v in
-                           summary["stage_completions"].items()) or "none"
-        print(f"  dag       : stage batches {stages}; "
-              f"{summary['artifact_entries']} artifact fast-path entries "
-              f"({summary['stages_skipped']} stages skipped); "
-              f"{summary['model_swaps']} model swaps "
-              f"({summary['model_evictions']} evictions)")
-        if summary["stage_degraded_requests"]:
-            print(f"  dag       : {summary['stage_degraded_requests']} "
-                  "requests routed around a failed skippable stage")
+    _print_stage_block(summary)
     for name, util in summary["device_utilization"].items():
         print(f"  {name:32s} util {util:6.1%}  "
               f"batches {summary['device_batches'][name]}")
@@ -388,14 +395,7 @@ def _cmd_trace(args) -> int:
           f"{summary['slo_violations']} SLO violations")
     _print_kind_block(summary)
     print(f"  cache     : {summary['cache_hits']} hits")
-    if "stage_completions" in summary:
-        stages = ", ".join(f"{k}={v}" for k, v in
-                           summary["stage_completions"].items()) or "none"
-        print(f"  dag       : stage batches {stages}; "
-              f"{summary['artifact_entries']} artifact fast-path entries "
-              f"({summary['stages_skipped']} stages skipped); "
-              f"{summary['model_swaps']} model swaps "
-              f"({summary['model_evictions']} evictions)")
+    _print_stage_block(summary)
     if summary["fault_events"] or summary["retries"]:
         faults = ", ".join(f"{k}={v}" for k, v in
                            sorted(summary["fault_events"].items())) or "none"

@@ -7,9 +7,8 @@ Clockwork model-record idiom, the Goel et al. follow-up framework
 arXiv:2112.09216, and CoRSAI arXiv:2105.11863 all share the shape):
 
 - :mod:`~repro.dag.stage` — :class:`StageFn` cost records
-  (``space`` / ``pre`` / ``input`` / ``exec_bN`` / ``output`` /
-  ``post``), sampled from the (optionally calibrated) service-time
-  model,
+  (``space`` / ``pre`` / ``input`` / ``output`` / ``post``; execution
+  time comes from :class:`repro.serve.scheduler.ServiceTimeModel`),
 - :mod:`~repro.dag.graph` — :class:`StageGraph` and the
   :func:`covid_stage_graph` factory,
 - :mod:`~repro.dag.residency` — :class:`ModelResidency`, per-device
@@ -26,6 +25,7 @@ arXiv:2112.09216, and CoRSAI arXiv:2105.11863 all share the shape):
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.dag.artifacts import ARTIFACT_METRIC_PREFIX, ArtifactCache
 from repro.dag.graph import QUANTIFY_MODEL, STAGE_MODELS, StageGraph, covid_stage_graph
@@ -35,17 +35,11 @@ from repro.dag.residency import (
     SWAP_COUNTER,
     ModelResidency,
 )
-from repro.dag.stage import (
-    EXEC_BATCH_SIZES,
-    FPGA_MODEL_SWAP_S,
-    HOST_LINK_GB_S,
-    StageFn,
-    build_stage,
-)
+from repro.dag.stage import FPGA_MODEL_SWAP_S, HOST_LINK_GB_S, StageFn
+from repro.hetero.device import DeviceSpec
 
 __all__ = [
-    "StageFn", "build_stage", "EXEC_BATCH_SIZES", "HOST_LINK_GB_S",
-    "FPGA_MODEL_SWAP_S",
+    "StageFn", "HOST_LINK_GB_S", "FPGA_MODEL_SWAP_S",
     "StageGraph", "covid_stage_graph", "STAGE_MODELS", "QUANTIFY_MODEL",
     "ModelResidency", "SWAP_COUNTER", "EVICTION_COUNTER", "DAG_SOURCE",
     "ArtifactCache", "ARTIFACT_METRIC_PREFIX",
@@ -64,3 +58,19 @@ class DagContext:
     #: Route requests around a skippable stage whose batch exhausted
     #: failover (tagged degraded) instead of shedding them.
     route_around_stage: bool = True
+
+    def batch_seconds(self, device: DeviceSpec, stage: str, size: int,
+                      exec_s: float = 0.0,
+                      now: Optional[float] = None) -> float:
+        """Device seconds one DAG batch costs: weight swap-in, then
+        activation transfer, ``exec_s``, then post-processing.
+
+        With ``now=None`` this is a peek — the overhead the perf-aware
+        placement adds to its estimate (``exec_s`` stays 0.0; the
+        scheduler adds the exec time itself).  With ``now`` the stage's
+        weights are made resident, which is the dispatch charge.
+        """
+        fn = self.graph.stage(stage)
+        swap_s = (self.residency.load_penalty(device, fn) if now is None
+                  else self.residency.ensure(device, fn, now))
+        return swap_s + fn.transfer_time(size) + exec_s + fn.post_s

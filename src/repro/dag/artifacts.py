@@ -82,7 +82,12 @@ class ArtifactCache:
         return None
 
     def put(self, key: str, stage: str, nbytes: int) -> None:
-        if self.capacity_bytes == 0:
+        """Store one artifact, evicting LRU entries until it fits.
+
+        An artifact larger than the whole cache is not stored: making
+        room for it would evict every resident entry and then itself.
+        """
+        if self.capacity_bytes == 0 or nbytes > self.capacity_bytes:
             return
         entry = (key, stage)
         if entry in self._entries:

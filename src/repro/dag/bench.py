@@ -63,12 +63,9 @@ def _engine(mode: str, **over) -> ServingEngine:
 def _arm(summary: Dict[str, object]) -> Dict[str, object]:
     """The per-arm subset of a serving summary the payload records."""
     keys = ("completed", "throughput_rps", "latency_p50_s", "latency_p95_s",
-            "cache_hits", "mode")
+            "cache_hits", "mode", "model_swaps", "stages_skipped",
+            "artifact_entries", "stage_completions")
     out = {k: summary[k] for k in keys}
-    for k in ("model_swaps", "stages_skipped", "artifact_entries",
-              "stage_completions"):
-        if k in summary:
-            out[k] = summary[k]
     if "artifact_cache" in summary:
         out["artifact_hit_rate"] = round(
             summary["artifact_cache"]["hit_rate"], 4)
@@ -83,7 +80,7 @@ def _parity(quick: bool) -> Dict[str, object]:
     by_mode: Dict[str, Dict[int, object]] = {}
     for mode in ("monolithic", "dag"):
         eng = _engine(mode, verify_batches=10 ** 9, framework=framework)
-        framework = eng.framework  # share: same weights, same threshold
+        framework = eng.verifier.framework  # share: same weights, threshold
         report = eng.run(requests)
         by_mode[mode] = {r.request.request_id: r.result
                         for r in report.completed}
@@ -153,8 +150,8 @@ def run_dag_bench(quick: bool = False,
         # Skip proof: on the warm replay every pipeline request enters
         # at classify — no enhance/segment batch ever runs.
         "warm_skips_enhance_segment": (
-            set(warm.get("stage_completions", {})) == {"classify"}
-            and int(warm.get("stages_skipped", 0)) > 0),
+            set(warm["stage_completions"]) == {"classify"}
+            and warm["stages_skipped"] > 0),
     }
     parity_block = (_parity(quick) if parity or parity is None
                     else {"skipped": True, "ok": True})
@@ -187,12 +184,10 @@ def format_dag_summary(payload: Dict[str, object]) -> str:
         f"monitor_fraction={s['monitor_fraction']:g})",
     ]
     for name, arm in payload["arms"].items():
-        extra = ""
-        if "stages_skipped" in arm:
-            extra = (f", skipped={arm['stages_skipped']}"
-                     f", swaps={arm['model_swaps']}")
         lines.append(f"  {name}: {arm['throughput_rps']:.2f} req/s "
-                     f"(p95 {arm['latency_p95_s']:.2f}s{extra})")
+                     f"(p95 {arm['latency_p95_s']:.2f}s, "
+                     f"skipped={arm['stages_skipped']}, "
+                     f"swaps={arm['model_swaps']})")
     cold = h["throughput_monitoring_cold"]
     warm = h["throughput_monitoring_warm"]
     lines += [

@@ -1,21 +1,18 @@
-"""The stage graph: the Fig. 4 pipeline as a chain of StageFn records.
+"""The stage graph: the Fig. 4 pipeline's StageFn cost records.
 
 ``covid_stage_graph`` builds the paper's three-model DAG —
-DDnet enhance → AH-Net segment → DenseNet3D classify — with per-stage
-cost records sampled from a :class:`repro.serve.scheduler.
-ServiceTimeModel` (analytic or calibrated).  The graph is a chain (the
-paper's pipeline has no branches), but every consumer goes through
-:meth:`StageGraph.next_stage` / :meth:`StageGraph.entry_after` so the
-serving layer stays shape-agnostic.
+DDnet enhance → AH-Net segment → DenseNet3D classify — plus, on
+request, the quantify arm.  The graph holds the per-stage cost records
+and which stages may be routed around; which stage follows which, per
+request kind, is :class:`repro.workload.WorkloadRouter`'s decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
-from repro.dag.stage import EXEC_BATCH_SIZES, StageFn, build_stage
-from repro.hetero.device import DEVICES, DeviceSpec
+from repro.dag.stage import StageFn
 
 __all__ = ["StageGraph", "covid_stage_graph", "STAGE_MODELS",
            "QUANTIFY_MODEL"]
@@ -40,37 +37,23 @@ SCAN_MB = 512 * 512 * 32 * 4 / 1e6
 
 @dataclass(frozen=True)
 class StageGraph:
-    """An ordered chain of :class:`StageFn` stages plus skip metadata.
+    """The :class:`StageFn` records of one pipeline plus skip metadata.
 
     ``skippable`` names stages the pipeline can route around without
     changing the *kind* of answer (only its quality) — for the paper
     that is exactly the enhancement stage (the Fig. 13 "original" arm).
-
-    ``arms`` names *branch terminals*: stages that hang off the shared
-    prefix as alternative endpoints (the quantify arm) rather than
-    links of the default chain.  They carry cost records like any other
-    stage but are excluded from :meth:`next_stage` traversal — which
-    kind takes which arm is the workload registry's decision
-    (:class:`repro.workload.WorkloadRouter`), not the graph's.
     """
 
     name: str
     stages: Tuple[StageFn, ...]
     skippable: Tuple[str, ...] = field(default_factory=tuple)
-    arms: Tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         self.sanity_check()
 
-    # -- views -----------------------------------------------------------
     @property
     def stage_names(self) -> Tuple[str, ...]:
         return tuple(s.name for s in self.stages)
-
-    @property
-    def chain_names(self) -> Tuple[str, ...]:
-        """The default chain: every stage that is not a branch arm."""
-        return tuple(n for n in self.stage_names if n not in self.arms)
 
     def stage(self, name: str) -> StageFn:
         for s in self.stages:
@@ -78,20 +61,8 @@ class StageGraph:
                 return s
         raise KeyError(f"no stage {name!r} in graph {self.name!r}")
 
-    def next_stage(self, name: str) -> Optional[str]:
-        if name in self.arms:
-            return None  # branch terminals end their chain
-        names = self.chain_names
-        idx = names.index(name)
-        return names[idx + 1] if idx + 1 < len(names) else None
-
-    def entry_after(self, cached_stage: str) -> Optional[str]:
-        """Entry stage for a request holding ``cached_stage``'s artifact."""
-        return self.next_stage(cached_stage)
-
-    # -- validation ------------------------------------------------------
     def sanity_check(self) -> None:
-        """Structural + cost-record invariants (raises on violation)."""
+        """Structural invariants (raises on violation)."""
         names = self.stage_names
         if not names:
             raise ValueError("a stage graph needs at least one stage")
@@ -102,35 +73,10 @@ class StageGraph:
                 raise ValueError(f"skippable stage {skip!r} not in {names}")
             if skip == names[-1]:
                 raise ValueError("the final stage cannot be skippable")
-        for arm in self.arms:
-            if arm not in names:
-                raise ValueError(f"arm stage {arm!r} not in {names}")
-            if arm in self.skippable:
-                raise ValueError(f"arm stage {arm!r} cannot be skippable "
-                                 f"(arms are chain terminals)")
-        for s in self.stages:
-            if not s.exec_b:
-                raise ValueError(f"{s.name}: no devices sampled")
-            for dev, samples in s.exec_b.items():
-                missing = [b for b in EXEC_BATCH_SIZES if b not in samples]
-                if missing:
-                    raise ValueError(
-                        f"{s.name}/{dev}: missing exec samples at {missing}")
-                times = [samples[b] for b in EXEC_BATCH_SIZES]
-                if any(t <= 0 for t in times):
-                    raise ValueError(f"{s.name}/{dev}: non-positive exec time")
-                if any(b > a for a, b in zip(times[1:], times)):
-                    raise ValueError(
-                        f"{s.name}/{dev}: exec time must be non-decreasing "
-                        f"in batch size, got {times}")
 
 
-def covid_stage_graph(
-    service_model=None,
-    devices: Optional[Sequence[DeviceSpec]] = None,
-    use_enhancement: bool = True,
-    with_quantify: bool = False,
-) -> StageGraph:
+def covid_stage_graph(use_enhancement: bool = True,
+                      with_quantify: bool = False) -> StageGraph:
     """The ComputeCOVID19+ pipeline as a stage graph.
 
     - **enhance** (DDnet, §2.2): consumes the raw low-dose chunk,
@@ -143,18 +89,11 @@ def covid_stage_graph(
     ``use_enhancement=False`` builds the Fig. 13 "original" arm (the
     graph the degradation controller effectively serves).
 
-    ``with_quantify=True`` adds the **quantify** branch arm (COVID-Rate
-    style lesion segmentation + percent-of-lung-involvement): it shares
-    the enhance → segment prefix and replaces classify as the terminal
-    for requests of ``kind="quantify"`` (the workload registry routes
-    kinds onto arms; the graph only carries the cost records).
+    ``with_quantify=True`` adds the **quantify** record (COVID-Rate
+    style lesion segmentation + percent-of-lung-involvement): it
+    consumes the segment artifact and replaces classify as the terminal
+    for requests of ``kind="quantify"``.
     """
-    if service_model is None:
-        from repro.serve.scheduler import ServiceTimeModel
-
-        service_model = ServiceTimeModel()
-    if devices is None:
-        devices = list(DEVICES.values())
     specs = {
         "enhance": dict(input_mb=SCAN_MB, output_mb=SCAN_MB,
                         paper="§2.2 / Tables 4-7"),
@@ -169,21 +108,16 @@ def covid_stage_graph(
     for name in names:
         model, space_gb = STAGE_MODELS[name]
         spec = specs[name]
-        stages.append(build_stage(
-            name, model, space_gb, spec["input_mb"], spec["output_mb"],
-            service_model, devices, paper=spec["paper"]))
-    arms = ()
+        stages.append(StageFn(name, model, space_gb, spec["input_mb"],
+                              spec["output_mb"], meta={"paper": spec["paper"]}))
     if with_quantify:
         model, space_gb = QUANTIFY_MODEL
         # Consumes the segment artifact (masked volume + mask), emits a
         # scalar involvement score + severity band.
-        stages.append(build_stage(
-            "quantify", model, space_gb, SCAN_MB * 1.25, 1e-3,
-            service_model, devices, paper="COVID-Rate (PAPERS.md)"))
-        arms = ("quantify",)
+        stages.append(StageFn("quantify", model, space_gb, SCAN_MB * 1.25,
+                              1e-3, meta={"paper": "COVID-Rate (PAPERS.md)"}))
     return StageGraph(
         name="covid19+" if use_enhancement else "covid19+/no-enhance",
         stages=tuple(stages),
         skippable=("enhance",) if use_enhancement else (),
-        arms=arms,
     )

@@ -71,7 +71,7 @@ class ModelResidency:
         """Peek (no mutation): the swap cost the next dispatch would pay."""
         if self.is_resident(device.name, stage.model):
             return 0.0
-        return stage.load_time(device.name)
+        return stage.load_time(device)
 
     def ensure(self, device: DeviceSpec, stage: StageFn,
                now: float) -> float:
@@ -91,7 +91,7 @@ class ModelResidency:
         while res and self.used_gb(device.name) + stage.space_gb > cap:
             victim, _ = res.popitem(last=False)
             evicted.append(victim)
-        penalty = stage.load_time(device.name)
+        penalty = stage.load_time(device)
         if self.used_gb(device.name) + stage.space_gb <= cap:
             res[stage.model] = stage.space_gb
         self.swaps += 1

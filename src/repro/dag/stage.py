@@ -2,37 +2,33 @@
 
 A :class:`StageFn` is the DAG analogue of a Clockwork model record
 (the ``clockwork_models`` exemplar): per stage it carries the weight
-footprint (``space_gb``), the cold-load cost per device (``pre_s``),
-the per-scan host↔device transfer volumes (``input_mb`` /
-``output_mb``), sampled batched execution times (``exec_b`` at batch
-sizes 1/2/4/8/16, fed by :class:`repro.serve.scheduler.
-ServiceTimeModel` — which may itself be anchored on a
-:class:`repro.backend.calibrate.CalibratedPerfModel`), and a fixed
-post-processing cost (``post_s``).
+footprint (``space_gb``), the cold-load cost on a device
+(:meth:`StageFn.load_time`, Clockwork's ``pre``), the per-scan
+host↔device transfer volumes (``input_mb`` / ``output_mb``), and a
+fixed post-processing cost (``post_s``).  It carries no execution
+times: :meth:`repro.serve.scheduler.ServiceTimeModel.batch_time` (which
+may itself be anchored on a :class:`repro.backend.calibrate.
+CalibratedPerfModel`) is the one source of those.
 
-The record is *data*: the residency model charges ``pre_s`` when a
-stage's weights are not resident, the dispatcher charges transfer +
-exec + post per batch, and the placement hook folds all three into
-the perf-aware completion-time estimate.  On the FPGA, loading a
-different model means reprogramming the bitstream, so ``pre_s`` there
-is the :class:`repro.resilience.faults.FaultConfig` reconfiguration
-stall (the same constant the fault injector charges for an unlucky
-mid-batch reconfiguration).
+The record is *data*: the residency model charges the load when a
+stage's weights are not resident, and :meth:`repro.dag.DagContext.
+batch_seconds` adds transfer + exec + post per batch, for both the
+perf-aware placement estimate and the dispatch charge.  On the FPGA,
+loading a different model means reprogramming the bitstream, so the
+load there is the :class:`repro.resilience.faults.FaultConfig`
+reconfiguration stall (the same constant the fault injector charges
+for an unlucky mid-batch reconfiguration).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Sequence
+from typing import Dict
 
 from repro.hetero.device import DeviceSpec
 from repro.resilience.faults import FaultConfig
 
-__all__ = ["EXEC_BATCH_SIZES", "HOST_LINK_GB_S", "FPGA_MODEL_SWAP_S",
-           "StageFn", "build_stage"]
-
-#: Batch sizes at which ``exec_b`` is sampled (the Clockwork grid).
-EXEC_BATCH_SIZES = (1, 2, 4, 8, 16)
+__all__ = ["HOST_LINK_GB_S", "FPGA_MODEL_SWAP_S", "StageFn"]
 
 #: Effective host↔device link bandwidth for weight loads and activation
 #: transfers (PCIe 3.0 x16 sustained).
@@ -52,14 +48,10 @@ class StageFn:
     model: str
     #: Weight footprint in GB (drives residency/eviction).
     space_gb: float
-    #: Cold-load (swap-in) seconds per device name.
-    pre_s: Mapping[str, float]
     #: Per-scan activation transfer to the device, MB.
     input_mb: float
     #: Per-scan artifact produced by the stage, MB.
     output_mb: float
-    #: device name → {batch size → seconds} on the EXEC_BATCH_SIZES grid.
-    exec_b: Mapping[str, Mapping[int, float]]
     #: Fixed post-processing (result serialization) seconds per batch.
     post_s: float = 1e-3
     #: Extra metadata (paper table references etc.).
@@ -72,36 +64,14 @@ class StageFn:
             raise ValueError(f"{self.name}: costs must be >= 0")
 
     # -- cost queries ----------------------------------------------------
-    @staticmethod
-    def _key(device) -> str:
-        """Accept a :class:`DeviceSpec` or a device-name string."""
-        return getattr(device, "name", device)
-
-    def exec_time(self, device, batch_size: int) -> float:
-        """Execution seconds for ``batch_size`` scans on ``device``.
-
-        Exact at the sampled :data:`EXEC_BATCH_SIZES`; piecewise-linear
-        between samples; linear extrapolation (last-segment slope)
-        beyond the grid.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        samples = self.exec_b[self._key(device)]
-        if batch_size in samples:
-            return samples[batch_size]
-        grid = sorted(samples)
-        lo = max((b for b in grid if b < batch_size), default=grid[0])
-        hi = min((b for b in grid if b > batch_size), default=grid[-1])
-        if lo == hi:  # beyond the grid: extrapolate with the last slope
-            b0, b1 = grid[-2], grid[-1]
-            slope = (samples[b1] - samples[b0]) / (b1 - b0)
-            return samples[b1] + slope * (batch_size - b1)
-        frac = (batch_size - lo) / (hi - lo)
-        return samples[lo] + frac * (samples[hi] - samples[lo])
-
-    def load_time(self, device) -> float:
-        """Cold-load (model swap-in) seconds on ``device``."""
-        return self.pre_s[self._key(device)]
+    def load_time(self, device: DeviceSpec) -> float:
+        """Cold-load (model swap-in) seconds on ``device``: the weight
+        load over the host link on GPUs/CPUs, the reconfiguration stall
+        on FPGAs.  Computed from the device type, so a device the fleet
+        autoscaler adds mid-run is priced like any other."""
+        if device.device_type == "fpga":
+            return FPGA_MODEL_SWAP_S
+        return self.space_gb / HOST_LINK_GB_S
 
     def transfer_time(self, batch_size: int) -> float:
         """Host↔device activation-transfer seconds for one batch."""
@@ -112,50 +82,3 @@ class StageFn:
     def artifact_bytes(self) -> int:
         """Size of one scan's output artifact (for the artifact cache)."""
         return int(self.output_mb * 1e6)
-
-    def resources(self, device) -> Dict[str, float]:
-        """The flat Clockwork-shaped record for one device."""
-        name = self._key(device)
-        out: Dict[str, float] = {
-            "space": self.space_gb,
-            "pre": self.pre_s[name],
-            "input": self.input_mb,
-        }
-        for b in EXEC_BATCH_SIZES:
-            out[f"exec_b{b}"] = self.exec_b[name][b]
-        out["output"] = self.output_mb
-        out["post"] = self.post_s
-        return out
-
-
-def build_stage(
-    name: str,
-    model: str,
-    space_gb: float,
-    input_mb: float,
-    output_mb: float,
-    service_model,
-    devices: Sequence[DeviceSpec],
-    post_s: float = 1e-3,
-    **meta,
-) -> StageFn:
-    """Sample a :class:`StageFn` record from a service-time model.
-
-    ``exec_b`` is filled by querying ``service_model.batch_time`` at the
-    :data:`EXEC_BATCH_SIZES` grid for every device — so a calibrated
-    service model (``ServiceTimeModel.calibrated()``) yields a stage
-    record anchored on measured host kernels.  ``pre_s`` is the weight
-    load over the host link on GPUs/CPUs and the reconfiguration stall
-    on FPGAs.
-    """
-    exec_b: Dict[str, Dict[int, float]] = {}
-    pre_s: Dict[str, float] = {}
-    for dev in devices:
-        exec_b[dev.name] = {
-            b: service_model.batch_time(dev, name, b) for b in EXEC_BATCH_SIZES
-        }
-        pre_s[dev.name] = (FPGA_MODEL_SWAP_S if dev.device_type == "fpga"
-                           else space_gb / HOST_LINK_GB_S)
-    return StageFn(name=name, model=model, space_gb=space_gb,
-                   pre_s=pre_s, input_mb=input_mb, output_mb=output_mb,
-                   exec_b=exec_b, post_s=post_s, meta=dict(meta))

@@ -9,8 +9,9 @@ six platforms.  This subpackage reproduces that system as:
   inference operations, including the *naive* scatter deconvolution
   (Fig. 9a) and the *refactored* inverse-coefficient-mapping gather
   deconvolution (Fig. 9b), instrumented with load/store/FLOP counters,
-- :mod:`~repro.hetero.counters` — the analytic operation-count model
-  that regenerates Table 6,
+- :mod:`repro.backend.counters` (a leaf shared with the kernel-dispatch
+  registry) — the analytic operation-count model that regenerates
+  Table 6,
 - :mod:`~repro.hetero.schedule` — enumeration of every DDnet kernel
   invocation with shapes (drives whole-network cost totals),
 - :mod:`~repro.hetero.optimizations` — the REF/PF/LU/vectorize/CU
@@ -23,6 +24,7 @@ six platforms.  This subpackage reproduces that system as:
   executes* DDnet with these kernels while charging modelled time.
 """
 
+from repro.backend.counters import OpCounts, kernel_op_counts, table6_counts
 from repro.hetero.device import (
     AMD_VEGA_FRONTIER,
     DEVICES,
@@ -33,7 +35,6 @@ from repro.hetero.device import (
     NVIDIA_V100,
     DeviceSpec,
 )
-from repro.hetero.counters import OpCounts, kernel_op_counts, table6_counts
 from repro.hetero.kernels import (
     KernelResult,
     batchnorm_kernel,

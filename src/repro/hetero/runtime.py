@@ -28,9 +28,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.telemetry import EventBus, open_span
-
-from repro.hetero.counters import OpCounts
+from repro.backend.counters import OpCounts
 from repro.hetero.device import DeviceSpec
 from repro.hetero.kernels import (
     KernelResult,
@@ -46,6 +44,7 @@ from repro.hetero.optimizations import OptimizationConfig
 from repro.hetero.perfmodel import PerfModel
 from repro.hetero.schedule import TABLE5_GROUPS
 from repro.models.ddnet import DDnet
+from repro.telemetry import EventBus, open_span
 
 
 #: Source tag of every kernel-launch event the runtime emits.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.hetero.counters import OpCounts, kernel_op_counts
+from repro.backend.counters import OpCounts, kernel_op_counts
 
 
 @dataclass(frozen=True)

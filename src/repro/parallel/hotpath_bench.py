@@ -57,10 +57,6 @@ def median_seconds(fn: Callable[[], object], repeats: int, warmup: int = 1) -> D
     }
 
 
-#: Back-compat alias for the pre-public name.
-_median_seconds = median_seconds
-
-
 def _bench_dataset_simulation(workers: Iterable[int], repeats: int,
                               num_pairs: int, size: int) -> Dict:
     """Hot path 1: §3.1.2 low-dose pair simulation over shared memory."""
@@ -74,7 +70,7 @@ def _bench_dataset_simulation(workers: Iterable[int], repeats: int,
     ref_lows, ref_fulls = run(1)
     result: Dict = {
         "params": {"num_pairs": num_pairs, "size": size, "physics": True},
-        "serial": _median_seconds(lambda: run(1), repeats),
+        "serial": median_seconds(lambda: run(1), repeats),
         "workers": {},
         "parity_ok": True,
     }
@@ -85,7 +81,7 @@ def _bench_dataset_simulation(workers: Iterable[int], repeats: int,
         lows, fulls = run(w)
         parity = (np.array_equal(ref_lows, lows)
                   and np.array_equal(ref_fulls, fulls))
-        timing = _median_seconds(lambda: run(w), repeats)
+        timing = median_seconds(lambda: run(w), repeats)
         timing["speedup"] = serial_s / timing["median_s"]
         timing["bit_identical_to_serial"] = parity
         result["workers"][str(w)] = timing
@@ -110,7 +106,7 @@ def _bench_batch_scoring(workers: Iterable[int], repeats: int,
     result: Dict = {
         "params": {"num_volumes": num_volumes, "size": size,
                    "num_slices": num_slices},
-        "serial": _median_seconds(lambda: framework.score_batch(volumes), repeats),
+        "serial": median_seconds(lambda: framework.score_batch(volumes), repeats),
         "workers": {},
         "parity_ok": True,
     }
@@ -119,7 +115,7 @@ def _bench_batch_scoring(workers: Iterable[int], repeats: int,
         if w <= 1:
             continue
         parity = np.array_equal(ref, framework.score_batch(volumes, workers=w))
-        timing = _median_seconds(
+        timing = median_seconds(
             lambda: framework.score_batch(volumes, workers=w), repeats)
         timing["speedup"] = serial_s / timing["median_s"]
         timing["bit_identical_to_serial"] = parity
@@ -136,10 +132,10 @@ def _bench_float32_inference(repeats: int, size: int, num_slices: int) -> Dict:
     volume = chest_volume(size, num_slices, rng=np.random.default_rng(3))
     framework = ComputeCovid19Plus()
     prob64 = framework.diagnose(volume).probability
-    t64 = _median_seconds(lambda: framework.diagnose(volume), repeats)
+    t64 = median_seconds(lambda: framework.diagnose(volume), repeats)
     framework.to_dtype(np.float32)
     prob32 = framework.diagnose(volume).probability
-    t32 = _median_seconds(lambda: framework.diagnose(volume), repeats)
+    t32 = median_seconds(lambda: framework.diagnose(volume), repeats)
     delta = abs(prob64 - prob32)
     return {
         "params": {"size": size, "num_slices": num_slices},

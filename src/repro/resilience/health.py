@@ -26,6 +26,7 @@ no direct ``record_success``/``record_failure`` calls from the engine
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -169,7 +170,17 @@ class FleetHealth:
         self.bus = bus
         for breaker in self.breakers.values():
             breaker.bus = bus
-        bus.subscribe(self._on_event, kinds=("complete", "fault"))
+        # The bus holds this subscription only weakly: a bus -> health ->
+        # bus cycle would keep every event of a finished run alive until
+        # the cyclic garbage collector happened to run.
+        ref = weakref.ref(self)
+
+        def on_event(event) -> None:
+            health = ref()
+            if health is not None:
+                health._on_event(event)
+
+        bus.subscribe(on_event, kinds=("complete", "fault"))
 
     def _on_event(self, event) -> None:
         name = event.payload.get("device")

@@ -51,7 +51,6 @@ from repro.serve.engine import (
     ServingEngine,
     ServingReport,
     ShedReason,
-    TraceEvent,
 )
 from repro.serve.lifecycle import RequestLifecycle
 from repro.serve.metrics import (
@@ -63,7 +62,6 @@ from repro.serve.metrics import (
 from repro.serve.queue import AdmissionQueue, QueueStats
 from repro.serve.request import (
     ARRIVAL_PATTERNS,
-    REQUEST_KINDS,
     SLO,
     ArrivalConfig,
     ScanRequest,
@@ -95,7 +93,7 @@ from repro.workload import (
 )
 
 __all__ = [
-    "SLO", "ScanRequest", "ARRIVAL_PATTERNS", "REQUEST_KINDS",
+    "SLO", "ScanRequest", "ARRIVAL_PATTERNS",
     "DEFAULT_WORKLOADS", "WorkloadRouter", "WorkloadSpec",
     "get_workload", "register_workload", "registered_kinds",
     "QUANTIFY_STAGE",
@@ -108,7 +106,7 @@ __all__ = [
     "SCHEDULING_POLICIES", "STAGES", "MONOLITHIC_STAGE", "FLEET_PRESETS",
     "fleet_from_spec",
     "ResultCache",
-    "ServingEngine", "ServingReport", "ServedRequest", "TraceEvent",
+    "ServingEngine", "ServingReport", "ServedRequest",
     "ShedReason", "CACHE_HIT_LATENCY_S", "SERVE_MODES",
     "RequestLifecycle", "DispatchController", "BatchVerifier",
     "LatencyStats", "percentile", "summarize", "summarize_trace",

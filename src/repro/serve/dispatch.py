@@ -22,6 +22,7 @@ import itertools
 from collections import deque
 from typing import Dict, List, Set, Tuple
 
+from repro.dag.residency import EVICTION_COUNTER, SWAP_COUNTER
 from repro.resilience.faults import FAULT_KINDS
 from repro.serve.batcher import Batch, BatchPolicy, DynamicBatcher
 from repro.serve.lifecycle import (
@@ -38,8 +39,20 @@ from repro.telemetry import EventBus, MetricsRegistry
 #: Registry name prefix for injected-fault counters (reset per run).
 FAULT_COUNTER_PREFIX = "serve.faults."
 
-#: Per-stage completion counters in DAG mode (reset per run).
+#: Per-stage batch-completion counters (reset per run).
 STAGE_DONE_PREFIX = "serve.dag.stage_done."
+
+#: Summary key → run-scoped stage counter.  Every mode reports them;
+#: outside DAG mode nothing swaps, skips or routes around, so they
+#: read zero.  Each increment site emits a bus event, which is how
+#: ``summarize_trace`` recounts them from a trace.
+STAGE_COUNTERS = {
+    "model_swaps": SWAP_COUNTER,
+    "model_evictions": EVICTION_COUNTER,
+    "stages_skipped": STAGES_SKIPPED_COUNTER,
+    "artifact_entries": ARTIFACT_ENTRY_COUNTER,
+    "stage_degraded_requests": STAGE_DEGRADED_COUNTER,
+}
 
 
 class DispatchController:
@@ -84,15 +97,10 @@ class DispatchController:
                           for s in self.stages}
         for kind in FAULT_KINDS:
             self.registry.counter(FAULT_COUNTER_PREFIX + kind).reset()
-        if self.dag is not None:
-            from repro.dag.residency import EVICTION_COUNTER, SWAP_COUNTER
-
-            for name in (SWAP_COUNTER, EVICTION_COUNTER,
-                         STAGES_SKIPPED_COUNTER, ARTIFACT_ENTRY_COUNTER,
-                         STAGE_DEGRADED_COUNTER):
-                self.registry.counter(name).reset()
-            for stage in self.stages:
-                self.registry.counter(STAGE_DONE_PREFIX + stage).reset()
+        for name in STAGE_COUNTERS.values():
+            self.registry.counter(name).reset()
+        for stage in self.stages:
+            self.registry.counter(STAGE_DONE_PREFIX + stage).reset()
 
     # -- telemetry ------------------------------------------------------
     def emit(self, t: float, kind: str, **payload) -> None:
@@ -108,6 +116,17 @@ class DispatchController:
             n = self.registry.counter(FAULT_COUNTER_PREFIX + kind).value
             if n:
                 out[kind] = n
+        return out
+
+    def stage_stats(self) -> Dict[str, object]:
+        """The run's stage counters; zero-count stages are omitted from
+        ``stage_completions`` (the :meth:`fault_stats` convention)."""
+        out: Dict[str, object] = {
+            key: self.registry.counter(name).value
+            for key, name in STAGE_COUNTERS.items()}
+        done = {s: self.registry.counter(STAGE_DONE_PREFIX + s).value
+                for s in self.stages}
+        out["stage_completions"] = {s: n for s, n in done.items() if n}
         return out
 
     @property
@@ -129,11 +148,7 @@ class DispatchController:
         # FleetHealth.record_success rides this event (see attach()).
         self.emit(now, "complete", stage=batch.stage, device=worker.spec.name,
                   size=len(batch), batch=batch.batch_id)
-        if self.dag is not None:
-            self.registry.counter(STAGE_DONE_PREFIX + batch.stage).inc()
-            self.emit(now, "stage_complete", stage=batch.stage,
-                      device=worker.spec.name, size=len(batch),
-                      batch=batch.batch_id)
+        self.registry.counter(STAGE_DONE_PREFIX + batch.stage).inc()
         routed = self._next_stages(batch)
         continuing = [(req, nxt) for req, nxt in routed if nxt is not None]
         if continuing:
@@ -260,14 +275,12 @@ class DispatchController:
             return False
         service = self.service_model.batch_time(worker.spec, batch.stage,
                                                 len(batch))
-        swap_s = 0.0
         if self.dag is not None:
             # Clockwork-style charge: swap the stage's weights in if
             # absent (pre), move activations (input/output), then post.
-            fn = self.dag.graph.stage(batch.stage)
-            swap_s = self.dag.residency.ensure(worker.spec, fn, now)
-            service = (swap_s + fn.transfer_time(len(batch)) + service
-                       + fn.post_s)
+            service = self.dag.batch_seconds(worker.spec, batch.stage,
+                                             len(batch), exec_s=service,
+                                             now=now)
         outcome = (self.injector.outcome(worker.spec, batch.batch_id, now,
                                          service, batch.attempt)
                    if self.injector is not None else None)
@@ -275,8 +288,6 @@ class DispatchController:
             self.health.breaker(worker.spec.name).begin_probe()
         detail = dict(stage=batch.stage, device=worker.spec.name,
                       size=len(batch), batch=batch.batch_id)
-        if self.dag is not None:
-            self.emit(now, "stage_start", swap_s=round(swap_s, 6), **detail)
         if outcome is not None and outcome.fails:
             # Doomed launch: the device is busy until the failure fires.
             self.scheduler.dispatch(worker, batch, now,

@@ -11,9 +11,9 @@ load, composed from three units over the shared telemetry spine:
   backlog, device placement, fault injection, and failover.
 
 Every transition is a :class:`repro.telemetry.TelemetryEvent` on one
-:class:`~repro.telemetry.EventBus` (``report.trace`` is a per-run view
-of that bus, kept for compatibility), the admission-conservation
-ledger and fault counts live in one
+:class:`~repro.telemetry.EventBus` (``report.events`` is this run's
+slice of it), the admission-conservation ledger, fault counts and the
+per-stage counters live in one
 :class:`~repro.telemetry.MetricsRegistry`, and circuit breakers are
 driven *by* bus events rather than direct calls — so the serving
 layer, the hetero runtime, and the resilience layer can share a single
@@ -74,7 +74,7 @@ from repro.telemetry import EventBus, MetricsRegistry, TelemetryEvent
 
 __all__ = [
     "CACHE_HIT_LATENCY_S", "SERVE_MODES", "ShedReason", "ServedRequest",
-    "TraceEvent", "BatchVerifier", "ServingReport", "ServingEngine",
+    "BatchVerifier", "ServingReport", "ServingEngine",
 ]
 
 #: How the engine decomposes a request onto the fleet:
@@ -87,17 +87,6 @@ __all__ = [
 #:   model residency/eviction, intermediate-artifact fast path, and
 #:   per-stage route-around resilience (see :mod:`repro.dag`).
 SERVE_MODES = ("staged", "monolithic", "dag")
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """Compatibility view of one telemetry event: ``(t, kind, detail)``."""
-
-    t: float
-    kind: str  # arrival | cache_hit | shed | dispatch | backlog | complete
-    #        # | fault | retry | heartbeat | degrade | request_done
-    #        # | breaker_transition | done
-    detail: Dict[str, object] = field(default_factory=dict)
 
 
 class BatchVerifier:
@@ -208,7 +197,6 @@ class ServingReport:
     offered: int
     completed: List[ServedRequest]
     shed: List[ServedRequest]
-    trace: List[TraceEvent]
     workers: List[DeviceWorker]
     policy: str
     makespan_s: float
@@ -228,9 +216,10 @@ class ServingReport:
     # -- telemetry spine -------------------------------------------------
     events: List[TelemetryEvent] = field(default_factory=list)
     registry: Optional[MetricsRegistry] = None
-    # -- DAG mode (empty on staged/monolithic runs) ----------------------
     mode: str = "staged"
-    dag_stats: Dict[str, object] = field(default_factory=dict)
+    #: Run-scoped stage counters (zero swaps/skips outside DAG mode).
+    stage_stats: Dict[str, object] = field(default_factory=dict)
+    #: Intermediate-artifact cache statistics (DAG mode only).
     artifact_stats: Dict[str, float] = field(default_factory=dict)
 
     def summary(self) -> Dict[str, object]:
@@ -260,7 +249,6 @@ class ServingEngine:
         metrics: Optional[MetricsRegistry] = None,
         mode: str = "staged",
         artifact_cache_mb: float = 4096.0,
-        stage_graph=None,
         artifact_cache=None,
         backend: Optional[str] = None,
         workloads: Optional[Sequence[str]] = None,
@@ -306,8 +294,8 @@ class ServingEngine:
                 covid_stage_graph,
             )
 
-            graph = stage_graph or covid_stage_graph(
-                self.service_model, devices, use_enhancement=use_enhancement,
+            graph = covid_stage_graph(
+                use_enhancement=use_enhancement,
                 with_quantify="quantify" in self.router.stages)
             residency = ModelResidency(devices, bus=self.telemetry,
                                        registry=self.metrics)
@@ -321,9 +309,7 @@ class ServingEngine:
                                   route_around_stage=route)
 
             def extra_delay(worker, batch, _dag=self.dag):
-                fn = _dag.graph.stage(batch.stage)
-                return (_dag.residency.load_penalty(worker.spec, fn)
-                        + fn.transfer_time(len(batch)) + fn.post_s)
+                return _dag.batch_seconds(worker.spec, batch.stage, len(batch))
         self.scheduler = FleetScheduler(devices, policy=policy,
                                         service_model=self.service_model,
                                         slots=slots_per_device,
@@ -357,19 +343,6 @@ class ServingEngine:
             injector=self.injector, failover=self.failover,
             health=self.health, dag=self.dag)
         self._loop: Optional[EventLoop] = None
-
-    # -- compatibility accessors ----------------------------------------
-    @property
-    def verify_batches(self) -> int:
-        return self.verifier.budget
-
-    @property
-    def framework(self):
-        return self.verifier.framework
-
-    @property
-    def framework_degraded(self):
-        return self.verifier.framework_degraded
 
     # ------------------------------------------------------------------
     def bind(self, loop) -> None:
@@ -425,43 +398,20 @@ class ServingEngine:
         self.inject(requests)
         now = loop.run()
         self.finish(now)
+        # Drop the finished loop: its handlers point back at this engine,
+        # and that cycle would keep the run's events alive until the
+        # cyclic garbage collector happened to run.
+        self._loop = self.dispatcher.loop = None
         events = self.telemetry.since(mark)
         return self.collect(now, len(requests), events)
 
     def collect(self, now: float, offered: int,
                 events: List[TelemetryEvent]) -> ServingReport:
         """Assemble the report for a finished run over ``events``."""
-        dag_stats: Dict[str, object] = {}
-        artifact_stats: Dict[str, float] = {}
-        if self.dag is not None:
-            from repro.dag.residency import EVICTION_COUNTER, SWAP_COUNTER
-            from repro.serve.dispatch import STAGE_DONE_PREFIX
-            from repro.serve.lifecycle import (
-                ARTIFACT_ENTRY_COUNTER,
-                STAGE_DEGRADED_COUNTER,
-                STAGES_SKIPPED_COUNTER,
-            )
-
-            counter = lambda name: self.metrics.counter(name).value  # noqa: E731
-            # Zero-count stages omitted (the fault_stats convention), so
-            # the dict matches the trace-side recount key-for-key.
-            stage_done = {s: counter(STAGE_DONE_PREFIX + s)
-                          for s in self.dispatcher.stages
-                          if counter(STAGE_DONE_PREFIX + s)}
-            dag_stats = {
-                "model_swaps": counter(SWAP_COUNTER),
-                "model_evictions": counter(EVICTION_COUNTER),
-                "stages_skipped": counter(STAGES_SKIPPED_COUNTER),
-                "artifact_entries": counter(ARTIFACT_ENTRY_COUNTER),
-                "stage_degraded_requests": counter(STAGE_DEGRADED_COUNTER),
-                "stage_completions": stage_done,
-            }
-            artifact_stats = self.dag.artifacts.stats()
         return ServingReport(
             offered=offered,
             completed=self.lifecycle.completed,
             shed=self.lifecycle.shed,
-            trace=[TraceEvent(e.t, e.kind, dict(e.payload)) for e in events],
             workers=self.scheduler.all_workers,
             policy=self.scheduler.policy,
             makespan_s=now,
@@ -480,8 +430,9 @@ class ServingEngine:
             events=events,
             registry=self.metrics,
             mode=self.mode,
-            dag_stats=dag_stats,
-            artifact_stats=artifact_stats,
+            stage_stats=self.dispatcher.stage_stats(),
+            artifact_stats=(self.dag.artifacts.stats() if self.dag is not None
+                            else {}),
         )
 
     # -- handlers kept at the root --------------------------------------

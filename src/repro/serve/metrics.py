@@ -174,10 +174,10 @@ def summarize(report) -> Dict[str, object]:
              for r in report.completed),
             ((r.request.kind, r.shed_reason.value) for r in report.shed)),
     })
-    if getattr(report, "dag_stats", None):
-        # Run-scoped DAG counters; each has a co-located bus event, so
-        # summarize_trace recounts the same numbers from events alone.
-        out.update(report.dag_stats)
+    # Run-scoped stage counters; each has a co-located bus event, so
+    # summarize_trace recounts the same numbers from events alone.
+    out.update(report.stage_stats)
+    if report.artifact_stats:
         out["artifact_cache"] = dict(report.artifact_stats)
     return out
 
@@ -213,7 +213,7 @@ def summarize_trace(events: Iterable) -> Dict[str, object]:
     for e in events:
         if e.kind == "arrival":
             requests += 1
-        elif e.kind == "stage_complete":
+        elif e.kind == "complete":
             stage = e.payload["stage"]
             stage_completions[stage] = stage_completions.get(stage, 0) + 1
         elif e.kind == "model_swap":
@@ -262,18 +262,15 @@ def summarize_trace(events: Iterable) -> Dict[str, object]:
         "fault_events": fault_events,
         "degraded_completed": degraded,
         "kinds": _kind_block(kind_completions, kind_sheds),
+        # The run-scoped stage counters, recounted from their
+        # co-located events — bit-identical to the live summary.
+        "model_swaps": model_swaps,
+        "model_evictions": model_evictions,
+        "stages_skipped": stages_skipped,
+        "artifact_entries": artifact_entries,
+        "stage_degraded_requests": stage_degraded,
+        "stage_completions": stage_completions,
     })
-    if stage_completions or model_swaps or artifact_entries or stage_degraded:
-        # DAG-mode traces: recount the run-scoped DAG counters from
-        # their co-located events — bit-identical to the live summary.
-        out.update({
-            "model_swaps": model_swaps,
-            "model_evictions": model_evictions,
-            "stages_skipped": stages_skipped,
-            "artifact_entries": artifact_entries,
-            "stage_degraded_requests": stage_degraded,
-            "stage_completions": stage_completions,
-        })
     return out
 
 

@@ -34,14 +34,8 @@ from repro.workload import SLO, get_workload, registered_kinds
 
 ARRIVAL_PATTERNS = ("poisson", "burst", "wave", "epi")
 
-#: The historical default serving mix, kept as a compatibility alias —
-#: the full set of request kinds now lives in the workload registry
-#: (:func:`repro.workload.registered_kinds`), where each kind carries
-#: its SLO defaults and cache/stage/verification policy.
-REQUEST_KINDS = ("diagnosis", "monitoring")
-
 __all__ = [
-    "ARRIVAL_PATTERNS", "REQUEST_KINDS", "SLO", "ScanRequest",
+    "ARRIVAL_PATTERNS", "SLO", "ScanRequest",
     "ArrivalConfig", "arrivals_from_config", "make_workload",
     "poisson_arrivals", "burst_arrivals", "epidemic_wave_arrivals",
     "seir_arrivals",
@@ -70,11 +64,6 @@ class ScanRequest:
     def workload(self):
         """This request's :class:`repro.workload.WorkloadSpec`."""
         return get_workload(self.kind)
-
-    @property
-    def is_monitoring(self) -> bool:
-        """Compatibility alias for the registry's follow-up predicate."""
-        return get_workload(self.kind).follow_up
 
     @property
     def content_key(self) -> str:

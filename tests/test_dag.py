@@ -1,76 +1,75 @@
 """Tests for ``repro.dag``: stage-graph serving with placement,
 pipelining, model residency, and the intermediate-artifact fast path."""
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.dag import (
     ArtifactCache,
+    DagContext,
     ModelResidency,
     StageFn,
     StageGraph,
-    build_stage,
     covid_stage_graph,
 )
 from repro.dag.bench import run_dag_bench
-from repro.dag.stage import EXEC_BATCH_SIZES, FPGA_MODEL_SWAP_S, HOST_LINK_GB_S
+from repro.dag.stage import FPGA_MODEL_SWAP_S, HOST_LINK_GB_S
 from repro.hetero import DEVICES, INTEL_ARRIA10, NVIDIA_T4, NVIDIA_V100
 from repro.resilience import FaultConfig, ResilienceConfig
-from repro.serve import ServingEngine, make_workload, seir_arrivals
+from repro.serve import ServiceTimeModel, ServingEngine, make_workload, seir_arrivals
 from repro.serve.metrics import summarize, summarize_trace
+from repro.serve.scheduler import MONOLITHIC_STAGE, QUANTIFY_STAGE, STAGES
 from repro.telemetry import EventBus, MetricsRegistry, export_jsonl, load_jsonl
 
+BENCH_DAG = Path(__file__).resolve().parent.parent / "BENCH_dag.json"
 
-def stage_fn(name="enhance", model="DDnet", space=1.5, times=None):
-    times = times or {b: 0.1 * b for b in EXEC_BATCH_SIZES}
+
+def stage_fn(name="enhance", model="DDnet", space=1.5):
     return StageFn(name=name, model=model, space_gb=space,
-                   pre_s={n: 0.01 for n in DEVICES},
-                   input_mb=30.0, output_mb=30.0,
-                   exec_b={n: dict(times) for n in DEVICES})
+                   input_mb=30.0, output_mb=30.0)
 
 
 # ---------------------------------------------------------------------------
 class TestStageFn:
-    def test_exec_time_exact_at_grid(self):
-        fn = stage_fn()
-        for b in EXEC_BATCH_SIZES:
-            assert fn.exec_time(NVIDIA_V100, b) == pytest.approx(0.1 * b)
-
-    def test_exec_time_interpolates_and_extrapolates(self):
-        fn = stage_fn()
-        assert fn.exec_time(NVIDIA_V100, 3) == pytest.approx(0.3)
-        assert fn.exec_time(NVIDIA_V100, 32) == pytest.approx(3.2)
-        with pytest.raises(ValueError):
-            fn.exec_time(NVIDIA_V100, 0)
-
     def test_transfer_time_scales_with_batch(self):
         fn = stage_fn()
         one = fn.transfer_time(1)
         assert one == pytest.approx(60.0 / 1e3 / HOST_LINK_GB_S)
         assert fn.transfer_time(4) == pytest.approx(4 * one)
 
-    def test_resources_is_a_clockwork_record(self):
-        fn = stage_fn()
-        rec = fn.resources(NVIDIA_V100)
-        assert rec["space"] == fn.space_gb
-        assert rec["pre"] == fn.pre_s[NVIDIA_V100.name]
-        for b in EXEC_BATCH_SIZES:
-            assert rec[f"exec_b{b}"] == pytest.approx(0.1 * b)
-        assert rec["input"] == fn.input_mb and rec["output"] == fn.output_mb
-
-    def test_build_stage_samples_service_model(self):
-        from repro.serve import ServiceTimeModel
-
-        sm = ServiceTimeModel()
-        fn = build_stage("enhance", "DDnet", 1.6, 30.0, 30.0, sm,
-                         list(DEVICES.values()))
-        for b in EXEC_BATCH_SIZES:
-            assert fn.exec_time(NVIDIA_V100, b) == pytest.approx(
-                sm.batch_time(NVIDIA_V100, "enhance", b))
+    def test_load_time_depends_on_device_type(self):
         # FPGA pays the reconfiguration stall to swap weights in;
         # PCIe-attached devices pay space / link bandwidth.
-        assert fn.pre_s[INTEL_ARRIA10.name] == FPGA_MODEL_SWAP_S
-        assert fn.pre_s[NVIDIA_V100.name] == pytest.approx(1.6 / HOST_LINK_GB_S)
+        fn = stage_fn(space=1.6)
+        assert fn.load_time(INTEL_ARRIA10) == FPGA_MODEL_SWAP_S
+        assert fn.load_time(NVIDIA_V100) == pytest.approx(1.6 / HOST_LINK_GB_S)
+        # A device the fleet adds mid-run (a renamed clone) is priced
+        # like the preset it was cloned from.
+        clone = replace(NVIDIA_T4, name="Nvidia T4 GPU @north +0")
+        assert fn.load_time(clone) == fn.load_time(NVIDIA_T4)
+
+    def test_rejects_bad_costs(self):
+        with pytest.raises(ValueError):
+            stage_fn(space=0.0)
+        with pytest.raises(ValueError):
+            StageFn("a", "A", 1.0, input_mb=-1.0, output_mb=0.0)
+
+
+class TestServiceTimeModel:
+    def test_batch_time_is_positive_and_non_decreasing(self):
+        """The one execution-time source the DAG charges: a bigger
+        batch never finishes sooner, on any device or stage."""
+        sm = ServiceTimeModel()
+        for device in DEVICES.values():
+            for stage in STAGES + (QUANTIFY_STAGE, MONOLITHIC_STAGE):
+                times = [sm.batch_time(device, stage, b) for b in range(1, 17)]
+                where = (device.name, stage)
+                assert times[0] > 0, where
+                assert all(b >= a for a, b in zip(times, times[1:])), where
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +78,6 @@ class TestStageGraph:
         g = covid_stage_graph()
         assert g.stage_names == ("enhance", "segment", "classify")
         assert g.skippable == ("enhance",)
-        assert g.next_stage("enhance") == "segment"
-        assert g.next_stage("classify") is None
-        assert g.entry_after("segment") == "classify"
         models = {s.name: s.model for s in g.stages}
         assert models == {"enhance": "DDnet", "segment": "AH-Net",
                           "classify": "DenseNet3D-121"}
@@ -100,10 +96,10 @@ class TestStageGraph:
             StageGraph("bad", (stage_fn("a"), stage_fn("b")),
                        skippable=("b",))
 
-    def test_sanity_rejects_decreasing_exec_times(self):
-        times = {b: 1.0 / b for b in EXEC_BATCH_SIZES}
-        with pytest.raises(ValueError):
-            StageGraph("bad", (stage_fn("a", times=times),))
+    def test_quantify_record_is_appended_last(self):
+        g = covid_stage_graph(with_quantify=True)
+        assert g.stage_names == ("enhance", "segment", "classify", "quantify")
+        assert g.stage("quantify").model == "COVID-Rate-Seg"
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +113,7 @@ class TestModelResidency:
         assert res.load_penalty(NVIDIA_V100, fn) == 0.0
 
     def test_fpga_swap_penalty_is_the_reconfig_stall(self):
-        from repro.serve import ServiceTimeModel
-
-        fn = build_stage("classify", "DenseNet3D-121", 0.5, 30.0, 1e-3,
-                         ServiceTimeModel(), [INTEL_ARRIA10, NVIDIA_V100])
+        fn = covid_stage_graph().stage("classify")
         res = ModelResidency([INTEL_ARRIA10])
         assert res.ensure(INTEL_ARRIA10, fn, 0.0) == FPGA_MODEL_SWAP_S
         assert FPGA_MODEL_SWAP_S == FaultConfig().reconfig_stall_s
@@ -178,6 +171,16 @@ class TestArtifactCache:
         assert reg.gauge("serve.cache.artifact.resident_bytes").value == s["resident_bytes"]
         assert reg.gauge("serve.cache.artifact.entries").value == 2
 
+    def test_oversized_artifact_is_not_stored(self):
+        cache = ArtifactCache(capacity_mb=100.0)
+        cache.put("a", "enhance", 40 * 10 ** 6)
+        cache.put("b", "enhance", 40 * 10 ** 6)
+        cache.put("c", "enhance", 150 * 10 ** 6)  # larger than the cache
+        s = cache.stats()
+        assert s["entries"] == 2 and s["evictions"] == 0
+        assert s["resident_bytes"] == 80 * 10 ** 6
+        assert ("a", "enhance") in cache and ("c", "enhance") not in cache
+
 
 # ---------------------------------------------------------------------------
 class TestEpiArrivals:
@@ -232,12 +235,41 @@ class TestServeModes:
         reqs = make_workload(30, rate_per_s=10.0, seed=1, dup_fraction=0.3)
         eng = ServingEngine(mode="dag", fleet="mixed", queue_capacity=1000)
         rep = eng.run(reqs)
-        kinds = {e.kind for e in rep.events}
-        assert {"stage_start", "stage_complete", "model_swap"} <= kinds
         s = rep.summary()
-        assert s["model_swaps"] > 0
-        assert set(s["stage_completions"]) <= {"enhance", "segment", "classify"}
+        assert s["model_swaps"] == len([e for e in rep.events
+                                        if e.kind == "model_swap"]) > 0
+        per_stage = {}
+        for e in rep.events:
+            if e.kind == "complete":
+                per_stage[e.payload["stage"]] = per_stage.get(
+                    e.payload["stage"], 0) + 1
+        assert s["stage_completions"] == per_stage
+        assert set(per_stage) <= {"enhance", "segment", "classify"}
         assert s["artifact_cache"]["hits"] == s["artifact_entries"]
+
+    @pytest.mark.parametrize("mode", ["staged", "monolithic"])
+    def test_every_mode_reports_the_stage_counters(self, mode):
+        reqs = make_workload(20, rate_per_s=10.0, seed=1)
+        s = ServingEngine(mode=mode, fleet="gpus",
+                          queue_capacity=1000).run(reqs).summary()
+        for key in ("model_swaps", "model_evictions", "stages_skipped",
+                    "artifact_entries", "stage_degraded_requests"):
+            assert s[key] == 0, key
+        expected = set(STAGES) if mode == "staged" else {MONOLITHIC_STAGE}
+        assert set(s["stage_completions"]) == expected
+        assert "artifact_cache" not in s
+
+    def test_batch_seconds_peek_matches_the_dispatch_charge(self):
+        graph = covid_stage_graph()
+        dag = DagContext(graph, ModelResidency([NVIDIA_V100]), ArtifactCache())
+        peek = dag.batch_seconds(NVIDIA_V100, "enhance", 3)
+        charged = dag.batch_seconds(NVIDIA_V100, "enhance", 3, exec_s=0.0,
+                                    now=0.0)
+        assert peek == charged > 0  # both paid the cold swap-in
+        warm = dag.batch_seconds(NVIDIA_V100, "enhance", 3)
+        fn = graph.stage("enhance")
+        assert warm == fn.transfer_time(3) + fn.post_s
+        assert peek == pytest.approx(fn.load_time(NVIDIA_V100) + warm)
 
     def test_release_volume_frees_memoized_scans(self):
         # Satellite 1 regression: terminal requests must not pin their
@@ -387,6 +419,14 @@ class TestDagBenchmark:
         # The DAG arm honestly pays swap/transfer costs on fresh
         # diagnosis traffic; the payload must not pretend otherwise.
         assert payload["headline"]["dag_overhead_diagnosis"] < 1.0
+
+    def test_arms_and_headline_match_committed_bench(self, payload):
+        """Refactor pin: the serving numbers of every arm reproduce the
+        committed ``BENCH_dag.json`` exactly."""
+        committed = json.loads(BENCH_DAG.read_text())
+        assert payload["arms"] == committed["arms"]
+        assert payload["headline"] == committed["headline"]
+        assert committed["parity_ok"]
 
     def test_payload_shape(self, payload):
         assert payload["bench"] == "serving_dag"

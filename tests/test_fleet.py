@@ -149,6 +149,18 @@ class TestAutoscaler:
                          router=RouterConfig(spillover=False),
                          autoscaler=AutoscalerConfig(**cfg))
 
+    def test_dag_mode_prices_grown_devices(self):
+        # A clone the autoscaler provisions mid-run has a name no preset
+        # carries; the DAG's swap-in cost must still price it.
+        report = run_fleet(small_regions(), mode="dag",
+                           router=RouterConfig(spillover=False),
+                           autoscaler=AutoscalerConfig(
+                               tick_s=1.0, queue_high=0.25, scale_up_step=3,
+                               max_devices=8, provision_delay_s=2.0))
+        s = report.summary()
+        assert s["fleet"]["devices_provisioned"] > 0
+        assert sum(r["model_swaps"] for r in s["regions"].values()) > 0
+
     def test_scale_up_provisions_after_lag(self):
         report = self.autoscaled(provision_delay_s=4.0)
         ups = [e for e in report.events if e.kind == "scale_up"]

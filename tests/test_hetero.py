@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backend.counters import PAPER_TABLE6_MILLIONS
 from repro.hetero import (
     DEVICES,
     INTEL_ARRIA10,
@@ -21,7 +22,6 @@ from repro.hetero import (
     schedule_totals,
     table6_counts,
 )
-from repro.hetero.counters import PAPER_TABLE6_MILLIONS
 from repro.hetero.device import get_device
 from repro.hetero.fpga import ReconfigurationSchedule
 from repro.hetero.kernels import (

@@ -5,9 +5,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.backend.counters import OpCounts, conv_counts, pool_counts
 from repro.ct import hu_to_mu, mu_to_hu, siddon_raycast
 from repro.ct.geometry import ParallelBeamGeometry
-from repro.hetero.counters import OpCounts, conv_counts, pool_counts
 from repro.metrics import ConfusionMatrix, auc_roc, confusion_matrix, mse, psnr
 from repro.nn.data import DistributedSampler, TensorDataset
 from repro.serve.metrics import LatencyStats

@@ -390,19 +390,19 @@ class TestChaosServing:
         assert s["admitted"] == s["departed"] + s["timed_out"] + s["faulted"]
         # Trace-level check: every dispatch has a matching complete/fail.
         open_batches = {}
-        for e in with_failover.trace:
+        for e in with_failover.events:
             if e.kind == "dispatch":
-                open_batches[(e.detail["device"], e.detail["batch"])] = e
+                open_batches[(e.payload["device"], e.payload["batch"])] = e
             elif e.kind in ("complete", "fault"):
-                open_batches.pop((e.detail["device"], e.detail["batch"]), None)
+                open_batches.pop((e.payload["device"], e.payload["batch"]), None)
         assert not open_batches
         # And nothing was dispatched to a device after its detected death.
         death = {w.spec.name: w.crashed_at for w in with_failover.workers
                  if not w.alive}
-        for e in with_failover.trace:
-            if e.kind == "dispatch" and e.detail["device"] in death:
-                assert e.t <= death[e.detail["device"]] + 1e-9 \
-                    or e.detail.get("fault") in ("dead", "crash")
+        for e in with_failover.events:
+            if e.kind == "dispatch" and e.payload["device"] in death:
+                assert e.t <= death[e.payload["device"]] + 1e-9 \
+                    or e.payload.get("fault") in ("dead", "crash")
 
     def test_every_offered_request_accounted(self, with_failover, workload):
         cache_hits = sum(1 for r in with_failover.completed if r.from_cache)

@@ -342,18 +342,18 @@ class TestEngineInvariants:
         assert s["offered"] == len(workload) - cache_hits
 
     def test_trace_timestamps_monotone(self, report):
-        ts = [e.t for e in report.trace]
+        ts = [e.t for e in report.events]
         assert all(t1 >= t0 for t0, t1 in zip(ts, ts[1:]))
 
     def test_no_device_exceeds_slots(self, report):
         in_flight = {}
-        for e in report.trace:
+        for e in report.events:
             if e.kind == "dispatch":
-                d = e.detail["device"]
+                d = e.payload["device"]
                 in_flight[d] = in_flight.get(d, 0) + 1
                 assert in_flight[d] <= 1, d
             elif e.kind == "complete":
-                in_flight[e.detail["device"]] -= 1
+                in_flight[e.payload["device"]] -= 1
         assert all(v == 0 for v in in_flight.values())
         assert all(w.max_in_flight <= w.slots for w in report.workers)
 

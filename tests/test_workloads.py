@@ -103,16 +103,15 @@ class TestScanRequest:
         with pytest.raises(ValueError, match="registered kinds"):
             ScanRequest(request_id=0, arrival_s=0.0, seed=1, kind="biopsy")
 
-    def test_is_monitoring_comes_from_registry(self):
+    def test_follow_up_comes_from_registry(self):
         req = ScanRequest(request_id=0, arrival_s=0.0, seed=1,
                           kind="monitoring")
-        assert req.is_monitoring
         assert req.workload.follow_up
 
     def test_quantify_kind_accepted(self):
         req = ScanRequest(request_id=0, arrival_s=0.0, seed=1,
                           kind="quantify")
-        assert not req.is_monitoring
+        assert not req.workload.follow_up
         assert req.workload.final_stage == "quantify"
 
 
