@@ -3,19 +3,18 @@
 
 Times every op registered in the :mod:`repro.backend` kernel registry
 on the selected backends (median-of-k after warmup), re-proves the
-``fast`` backend's ulp parity tier against ``reference``, runs the
-reduced-precision int8 enhancement arm against its quality floors,
-fits the host's per-op service-time coefficients per backend
+``fast`` backend's ulp parity tier against ``reference``, fits the
+host's per-op service-time coefficients per backend
 (:mod:`repro.backend.calibrate`), and writes ``BENCH_kernels.json`` at
-the repo root.  Exits nonzero when any parity tier or precision floor
-is violated; speedups are *reported*, never gated, because they depend
-on the host's BLAS and core count.
+the repo root.  Exits nonzero when any parity tier is violated;
+speedups are *reported*, never gated, because they depend on the
+host's BLAS and core count.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/perf/bench_kernels.py [--quick]
         [--out PATH] [--repeats N] [--size N] [--no-calibration]
-        [--no-precision] [--backends reference,fast]
+        [--backends reference,fast]
 
 Also exposed as ``repro bench kernels``.
 """
@@ -41,8 +40,6 @@ def main(argv=None) -> int:
                         help="spatial workload size (default: 64, quick: 24)")
     parser.add_argument("--no-calibration", action="store_true",
                         help="skip embedding the per-backend calibration fits")
-    parser.add_argument("--no-precision", action="store_true",
-                        help="skip the reduced-precision int8 arm")
     parser.add_argument("--backends", type=str, default=None,
                         help="comma-separated backends to bench "
                              "(default: all registered; reference is "
@@ -56,12 +53,10 @@ def main(argv=None) -> int:
     payload = run_kernel_bench(quick=args.quick, repeats=args.repeats,
                                size=args.size,
                                with_calibration=not args.no_calibration,
-                               with_precision=not args.no_precision,
                                backends=backends)
     return finish_bench(
-        payload, args.out, format_kernel_summary, gate_key="gate_ok",
-        failure_msg="PARITY/PRECISION FAILURE: a backend diverges beyond "
-                    "its tier or a reduced-precision floor is violated")
+        payload, args.out, format_kernel_summary,
+        failure_msg="PARITY FAILURE: a backend diverges beyond its tier")
 
 
 if __name__ == "__main__":

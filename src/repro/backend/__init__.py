@@ -9,12 +9,10 @@ architecture, reproduced for the NumPy engine):
 - :mod:`~repro.backend.counters` — the analytic Table 6 operation
   counters (N-dimensional; :mod:`repro.hetero` prices Table 6 with them),
 - :mod:`~repro.backend.fast` — the ulp-tier backend: FFT
-  convolution/deconvolution with a filter-transform cache, fused
-  unpool+deconv, and batched multi-scan conv; every other case runs
-  the reference kernels,
+  convolution/deconvolution with a filter-transform cache and fused
+  unpool+deconv; every other case runs the reference kernels,
 - :mod:`~repro.backend.precision` — the accuracy-parity tiers (bit /
-  ulp / metric floors) every backend and reduced-precision mode is
-  held to,
+  ulp) every backend is held to,
 - :mod:`~repro.backend.calibrate` — host microbenchmarks fitting
   per-op service-time coefficients into a
   :class:`~repro.backend.calibrate.CalibratedPerfModel` that the serve
@@ -51,7 +49,6 @@ _LAZY = {
     "calibrate_host": ("repro.backend.calibrate", "calibrate_host"),
     "run_kernel_bench": ("repro.backend.kernel_bench", "run_kernel_bench"),
     "BACKEND_TIERS": ("repro.backend.precision", "BACKEND_TIERS"),
-    "PRECISION_FLOORS": ("repro.backend.precision", "PRECISION_FLOORS"),
     "allclose_ulp": ("repro.backend.precision", "allclose_ulp"),
     "bit_identical": ("repro.backend.precision", "bit_identical"),
     "tier_for": ("repro.backend.precision", "tier_for"),

@@ -25,10 +25,9 @@ What it does differently:
 - **FFT deconvolution** — the stride-1 transposed convolution is the
   *full* linear convolution of the gradient with the (unflipped)
   kernel, contracted over the input-channel axis; same plan cache.
-- **batched multi-scan conv** (``conv_batch``) — the fast entry stacks
-  a serving batch of scans into one dispatch so the filter transform
-  is amortized across the batch; reference runs the honest
-  scan-at-a-time loop (see :mod:`repro.tensor.ops_fused`).
+- **fused unpool + deconvolution** (``unpool_deconv``) — the Fig. 9
+  decoder pair feeds the up-sampled map straight into the FFT
+  deconvolution (see :mod:`repro.tensor.ops_fused`).
 
 Everything the FFT path does not cover runs the ``reference`` kernels
 directly, so it is bit-identical to ``reference``: the training path
@@ -257,19 +256,9 @@ def conv_nd_input_grad_fast(
         _unpad_spatial(y, padding_t).astype(dtype, copy=False))
 
 
-def conv_bias_act_nd_forward_fast(
-    x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray], stride, padding,
-    negative_slope: float = 0.01,
-) -> np.ndarray:
-    """Fused conv + bias + Leaky-ReLU on the fast conv output."""
-    out, _, _ = conv_nd_forward_fast(x, w, bias, stride, padding, want_cols=False)
-    np.multiply(out, negative_slope, out=out, where=out <= 0)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Fused decoder pair and batched multi-scan conv (fast entries; the
-# reference entries live in repro.tensor.ops_fused)
+# Fused decoder pair (fast entry; the reference entry lives in
+# repro.tensor.ops_fused)
 # ---------------------------------------------------------------------------
 def unpool_deconv_nd_forward_fast(
     x: np.ndarray, w: np.ndarray, y_shape: Tuple[int, ...], scale, stride, padding
@@ -279,33 +268,10 @@ def unpool_deconv_nd_forward_fast(
     return conv_nd_input_grad_fast(up, w, y_shape, stride, padding)
 
 
-def conv_batch_nd_forward_fast(
-    xs, w: np.ndarray, bias: Optional[np.ndarray], stride, padding,
-    negative_slope: Optional[float] = None,
-) -> np.ndarray:
-    """Batched multi-scan conv: one dispatch, one filter transform.
-
-    ``xs`` is a sequence of ``(C, *spatial)`` scans with a shared
-    shape; stacking them into one ``(B, C, *spatial)`` batch amortizes
-    the filter FFT (cached) and the per-call dispatch overhead that the
-    reference backend pays once *per scan*.
-    """
-    batch = np.stack([np.asarray(x) for x in xs])
-    if negative_slope is not None:
-        return conv_bias_act_nd_forward_fast(
-            batch, w, bias, stride, padding, negative_slope)
-    out, _, _ = conv_nd_forward_fast(batch, w, bias, stride, padding,
-                                     want_cols=False)
-    return out
-
-
 register_kernel("conv", "fast")(conv_nd_forward_fast)
 register_kernel("deconv", "fast")(conv_nd_input_grad_fast)
-register_kernel("conv_bias_act", "fast")(conv_bias_act_nd_forward_fast)
 register_kernel("unpool_deconv", "fast", kind="deconvolution")(
     unpool_deconv_nd_forward_fast)
-register_kernel("conv_batch", "fast", kind="convolution")(
-    conv_batch_nd_forward_fast)
 
 #: Ops the fast backend intentionally serves with the reference
 #: implementation (no algorithmic headroom over NumPy).  This is the
@@ -315,7 +281,7 @@ register_kernel("conv_batch", "fast", kind="convolution")(
 FALLBACK_OPS = {
     op: "reference"
     for op in ("conv_weight_grad", "maxpool", "avgpool", "unpool", "leaky_relu",
-               "relu", "batchnorm", "quantize_linear", "dequantize_linear")
+               "relu", "batchnorm")
 }
 
 register_kernel("conv_weight_grad", "fast")(conv_nd_weight_grad)
@@ -326,15 +292,3 @@ register_kernel("leaky_relu", "fast")(leaky_relu_forward)
 register_kernel("relu", "fast")(relu_forward)
 register_kernel("batchnorm", "fast")(batchnorm_forward)
 
-
-def _register_quant_aliases() -> None:
-    from repro.tensor.ops_quant import (
-        dequantize_linear_kernel,
-        quantize_linear_kernel,
-    )
-
-    register_kernel("quantize_linear", "fast")(quantize_linear_kernel)
-    register_kernel("dequantize_linear", "fast")(dequantize_linear_kernel)
-
-
-_register_quant_aliases()

@@ -6,17 +6,14 @@ after warmup via :func:`repro.parallel.hotpath_bench.median_seconds`),
 same host metadata, and a per-backend parity record per op at the tier
 :mod:`repro.backend.precision` assigns — ``fast`` must agree with
 ``reference`` within the dtype-aware ulp tolerance — re-proven on every
-run.  A reduced-precision arm runs the DDnet enhancement forward with
-int8-quantized weights and checks MS-SSIM/PSNR against the float64
-reference output and the
-:data:`repro.backend.precision.PRECISION_FLOORS`.  The payload also
-embeds one fresh :class:`repro.backend.calibrate.KernelCalibration`
-*per benched backend*, so per-backend service-time coefficients ship
-with the timings they came from.
+run.  The payload also embeds one fresh
+:class:`repro.backend.calibrate.KernelCalibration` *per benched
+backend*, so per-backend service-time coefficients ship with the
+timings they came from.
 
-CI runs ``repro bench kernels --quick --backends reference,fast``
-as a perf smoke test and fails the job when any parity tier or
-precision floor is violated (``gate_ok``).
+CI runs ``benchmarks/perf/bench_kernels.py --quick --backends
+reference,fast`` as a perf smoke test and fails the job when any
+parity tier is violated (``parity_ok``).
 """
 
 from __future__ import annotations
@@ -25,23 +22,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend.precision import (
-    PRECISION_FLOORS,
-    allclose_ulp,
-    bit_identical,
-    check_floors,
-    ms_ssim,
-    psnr,
-    tier_for,
-)
+from repro.backend.precision import meets_tier, tier_for
 from repro.backend.registry import dispatch, known_backends, known_ops
+from repro.benchrunner import host_info
 
 #: Parity baseline and speedup denominator; always benched even when a
 #: ``backends`` selection omits it.
 BASELINE_BACKEND = "reference"
 
-#: Scans per serving batch in the conv-family workloads — the batched
-#: multi-scan ops exist to amortize work across exactly this dimension.
+#: Batch of the conv-family workloads: the serving batch, where the FFT
+#: kernels amortize their filter transforms.
 SERVING_BATCH = 4
 
 
@@ -52,10 +42,9 @@ def _op_workloads(size: int, rng: np.random.Generator,
 
     Covers every registered op with DDnet-shaped 2D workloads: the conv
     family uses the paper's 5×5 stride-1 kernels at a serving batch so
-    the FFT path is exercised (≥25 taps), and the fused/batched ops run
-    their Fig. 9 / multi-scan shapes.  The 3D paths share the same N-d
-    kernels, so 2D timing is representative while keeping quick mode
-    fast.
+    the FFT path is exercised (≥25 taps), and the fused decoder pair
+    runs its Fig. 9 shape.  The 3D paths share the same N-d kernels, so
+    2D timing is representative while keeping quick mode fast.
     """
     c = 8
     k = 5
@@ -66,15 +55,11 @@ def _op_workloads(size: int, rng: np.random.Generator,
     var = rng.uniform(0.5, 2.0, c)
     gamma = rng.standard_normal(c)
     beta = rng.standard_normal(c)
-    scans = [rng.standard_normal((c, size, size)) for _ in range(batch)]
     # The weight-gradient op consumes a saved im2col buffer; build it
     # once on the baseline backend so every backend sees identical input.
     _, cols, _ = dispatch("conv", x, w, None, 1, k // 2, want_cols=True,
                           backend=BASELINE_BACKEND)
     g = rng.standard_normal((batch, c, size, size))
-    # Quantize inputs: the conv weight itself (per-output-channel axis).
-    q_ref, scale_ref = dispatch("quantize_linear", w, 0,
-                                backend=BASELINE_BACKEND)
     up_shape = (batch, c, 2 * size, 2 * size)
     shape = {"input": list(x.shape), "weight": list(w.shape)}
     elementwise = {"input": list(x.shape)}
@@ -85,16 +70,10 @@ def _op_workloads(size: int, rng: np.random.Generator,
             "deconv", x, w, x.shape, (1, 1), (k // 2, k // 2), backend=b)),
         "conv_weight_grad": (shape, lambda b: dispatch(
             "conv_weight_grad", cols, g, w.shape, backend=b)),
-        "conv_bias_act": (shape, lambda b: dispatch(
-            "conv_bias_act", x, w, bias, 1, k // 2, 0.01, backend=b)),
         "unpool_deconv": (
             {"input": list(x.shape), "weight": list(w.shape), "scale": 2},
             lambda b: dispatch("unpool_deconv", x, w, up_shape, 2,
                                (1, 1), (k // 2, k // 2), backend=b)),
-        "conv_batch": (
-            {"scans": [list(scans[0].shape)] * batch, "weight": list(w.shape)},
-            lambda b: dispatch("conv_batch", scans, w, bias, 1, k // 2,
-                               0.01, backend=b)),
         "maxpool": (elementwise, lambda b: dispatch(
             "maxpool", x, 2, 2, 0, want_indices=True, backend=b)),
         "avgpool": (elementwise, lambda b: dispatch(
@@ -105,13 +84,6 @@ def _op_workloads(size: int, rng: np.random.Generator,
         "relu": (elementwise, lambda b: dispatch("relu", x, backend=b)),
         "batchnorm": (elementwise, lambda b: dispatch(
             "batchnorm", x, mean, var, gamma, beta, 1e-5, backend=b)),
-        "quantize_linear": (
-            {"input": list(w.shape), "axis": 0},
-            lambda b: dispatch("quantize_linear", w, 0, backend=b)),
-        "dequantize_linear": (
-            {"input": list(q_ref.shape)},
-            lambda b: dispatch("dequantize_linear", q_ref, scale_ref,
-                               np.float32, backend=b)),
     }
 
 
@@ -131,64 +103,11 @@ def _resolve_backends(backends: Optional[Sequence[str]]) -> List[str]:
     return ordered
 
 
-def _small_ddnet(rng_seed: int = 0):
-    from repro.models.ddnet import DDnet
-
-    return DDnet(base_channels=4, growth=4, num_blocks=2, layers_per_block=2,
-                 global_shortcuts=False, rng=np.random.default_rng(rng_seed))
-
-
-def _precision_arm(quick: bool, repeats: int) -> Dict:
-    """Reduced-precision enhancement parity: int8 vs float64.
-
-    Runs the same seeded small DDnet forward (fused decoder path) twice
-    — float64 weights, then int8-quantized weights — and scores the
-    int8 output against the float64 arm with the Fig. 8 metrics.
-    """
-    from repro.nn.quantize import quantize_module
-    from repro.parallel.hotpath_bench import median_seconds
-    from repro.tensor.tensor import Tensor, no_grad
-
-    size = 32 if quick else 64
-    rng = np.random.default_rng(7)
-    image = rng.uniform(0.0, 1.0, (1, 1, size, size))
-
-    with no_grad():
-        ref_model = _small_ddnet()
-        y_ref = ref_model(Tensor(image)).data[0, 0]
-        ref_t = median_seconds(
-            lambda: ref_model(Tensor(image)), repeats)
-
-        int8_model = _small_ddnet()
-        quantized = quantize_module(int8_model)
-        y8 = int8_model(Tensor(image)).data
-        int8_t = median_seconds(lambda: int8_model(Tensor(image)), repeats)
-
-    out = np.asarray(y8, dtype=np.float64)[0, 0]
-    metrics = {"ms_ssim": ms_ssim(y_ref, out), "psnr_db": psnr(y_ref, out)}
-    flags = check_floors("int8", metrics)
-    int8 = {
-        "metrics": metrics,
-        "floors": dict(PRECISION_FLOORS["int8"]),
-        "floor_checks": flags,
-        "ok": all(flags.values()),
-        "median_s": int8_t["median_s"],
-        "quantized_params": quantized,
-    }
-    return {
-        "image_size": size,
-        "reference_median_s": ref_t["median_s"],
-        "modes": {"int8": int8},
-        "ok": int8["ok"],
-    }
-
-
 def run_kernel_bench(
     quick: bool = False,
     repeats: Optional[int] = None,
     size: Optional[int] = None,
     with_calibration: bool = True,
-    with_precision: bool = True,
     backends: Optional[Sequence[str]] = None,
 ) -> Dict:
     """Time every registered op on the selected backends.
@@ -198,9 +117,6 @@ def run_kernel_bench(
     defined against it.  ``quick`` shrinks the workload and repeats for
     CI smoke runs; the parity-tier checks are identical in both modes.
     """
-    import os
-    import platform
-
     from repro.backend.calibrate import calibrate_host
     from repro.parallel.hotpath_bench import median_seconds
 
@@ -225,9 +141,7 @@ def run_kernel_bench(
                 continue
             if backend != BASELINE_BACKEND:
                 tier = tier_for(backend)
-                result = run(backend)
-                ok = (bit_identical(baseline, result) if tier == "bit"
-                      else allclose_ulp(baseline, result))
+                ok = meets_tier(tier, baseline, run(backend))
                 entry["parity"][backend] = {"tier": tier, "ok": bool(ok)}
             entry[backend] = median_seconds(lambda b=backend: run(b), repeats)
         ref_s = entry[BASELINE_BACKEND]["median_s"]
@@ -240,26 +154,17 @@ def run_kernel_bench(
     parity_ok = all(p["ok"] for e in ops.values() for p in e["parity"].values())
     payload: Dict = {
         "bench": "kernels",
-        "schema": 3,
+        "schema": 4,
         "quick": quick,
         "backends": list(bench_backends),
         "baseline": BASELINE_BACKEND,
         "workload_size": size,
         "serving_batch": SERVING_BATCH,
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "host": host_info(),
         "ops": ops,
         "speedup_matrix": {op: dict(e["speedups"]) for op, e in ops.items()},
         "parity_ok": parity_ok,
     }
-    if with_precision:
-        payload["precision"] = _precision_arm(quick, repeats)
-    payload["precision_ok"] = payload.get("precision", {}).get("ok", True)
-    payload["gate_ok"] = bool(parity_ok and payload["precision_ok"])
     if with_calibration:
         payload["calibrations"] = {}
         for backend in bench_backends:
@@ -286,16 +191,7 @@ def format_kernel_summary(payload: Dict) -> str:
             for b, p in e["parity"].items())
         lines.append(
             f"  {op}: {', '.join(parts)} ({speed or 'n/a'}; {parity or 'n/a'})")
-    if "precision" in payload:
-        for mode, m in payload["precision"]["modes"].items():
-            met = m["metrics"]
-            lines.append(
-                f"  precision[{mode}]: ms_ssim={met['ms_ssim']:.4f} "
-                f"psnr={met['psnr_db']:.1f}dB "
-                f"({'ok' if m['ok'] else 'FLOOR VIOLATION'})")
     for backend, cal in payload.get("calibrations", {}).items():
         lines.append(f"  calibration[{backend}]: host={cal['host']!r}")
-    lines.append(f"  parity_ok={payload['parity_ok']} "
-                 f"precision_ok={payload['precision_ok']} "
-                 f"gate_ok={payload['gate_ok']}")
+    lines.append(f"  parity_ok={payload['parity_ok']}")
     return "\n".join(lines)

@@ -2,12 +2,12 @@
 
 The registry is only an architecture if call sites actually go through
 it.  This stdlib-``ast`` pass enforces that for the layers that sit
-*above* the kernels — ``repro.models``, ``repro.nn.layers*``, and the
-quantization helpers ``repro.nn.quantize`` — by forbidding calls to
-NumPy compute functions there.  Data marshalling (``np.zeros``,
-``np.stack``, ``np.asarray``, dtype/constant attribute references, the
-``np.random`` generators) stays allowed: the rule targets math that
-should be a registered kernel or a tensor op, not array bookkeeping.
+*above* the kernels — ``repro.models`` and ``repro.nn.layers*`` — by
+forbidding calls to NumPy compute functions there.  Data marshalling
+(``np.zeros``, ``np.stack``, ``np.asarray``, dtype/constant attribute
+references, the ``np.random`` generators) stays allowed: the rule
+targets math that should be a registered kernel or a tensor op, not
+array bookkeeping.
 
 A call that is genuinely out of scope for the registry (e.g. MoCo's
 queue renormalization) can carry an explicit waiver: put
@@ -33,11 +33,11 @@ from typing import List, Optional, Sequence, Tuple
 WAIVER = "kernel-lint: allow"
 
 #: Default lint surface, relative to the repository's ``src`` directory.
-#: Each target maps to one or more glob patterns beneath it.
+#: Each target maps to the glob pattern of the files linted beneath it.
 DEFAULT_TARGETS = ("repro/models", "repro/nn")
 DEFAULT_PATTERNS = {
-    "repro/models": ("*.py",),
-    "repro/nn": ("layers*.py", "quantize.py"),
+    "repro/models": "*.py",
+    "repro/nn": "layers*.py",
 }
 
 #: NumPy callables that marshal or construct arrays rather than compute.
@@ -144,19 +144,11 @@ def lint_paths(src_root: Path, targets: Sequence[str] = DEFAULT_TARGETS
     """Lint every file under the target surface; returns all violations."""
     violations: List[Violation] = []
     for target in targets:
-        patterns = DEFAULT_PATTERNS.get(target, ("*.py",))
-        if isinstance(patterns, str):
-            patterns = (patterns,)
-        base = src_root / target
-        seen = set()
-        for pattern in patterns:
-            for fp in sorted(base.rglob(pattern)):
-                if fp in seen:
-                    continue
-                seen.add(fp)
-                rel = fp.relative_to(src_root)
-                violations.extend(
-                    lint_source(fp.read_text(encoding="utf-8"), str(rel)))
+        pattern = DEFAULT_PATTERNS.get(target, "*.py")
+        for fp in sorted((src_root / target).rglob(pattern)):
+            rel = fp.relative_to(src_root)
+            violations.extend(
+                lint_source(fp.read_text(encoding="utf-8"), str(rel)))
     return violations
 
 

@@ -44,7 +44,6 @@ _PROVIDERS = (
     "repro.tensor.ops_pool",
     "repro.tensor.ops_norm",
     "repro.tensor.ops_activation",
-    "repro.tensor.ops_quant",
     "repro.tensor.ops_fused",
     "repro.backend.fast",
 )

@@ -3,18 +3,22 @@
 Every benchmark — hotpaths, kernels, dag, pandemic — follows the same
 contract: ``--quick``/``--out`` flags, a JSON payload written with
 :func:`repro.parallel.write_bench_json`, a one-screen human summary on
-stdout, and a nonzero exit when the payload's gate flag is false.
-This module is that contract, so the CLI subcommands and the
-standalone ``benchmarks/`` scripts stop re-implementing it.
+stdout, a nonzero exit when the payload's gate flag is false, and the
+same ``"host"`` record.  This module is that contract, so the CLI
+subcommands and the standalone ``benchmarks/`` scripts stop
+re-implementing it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import platform
 import sys
 from typing import Callable, Dict, Optional
 
-__all__ = ["add_bench_arguments", "make_bench_parser", "finish_bench"]
+__all__ = ["add_bench_arguments", "make_bench_parser", "finish_bench",
+           "host_info"]
 
 
 def add_bench_arguments(parser, default_out: str,
@@ -38,6 +42,18 @@ def make_bench_parser(description: str, default_out: str,
     parser = argparse.ArgumentParser(description=description)
     add_bench_arguments(parser, default_out, seed=seed)
     return parser
+
+
+def host_info() -> Dict[str, object]:
+    """The ``"host"`` record every bench payload carries."""
+    import numpy as np
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 def finish_bench(payload: Dict[str, object], out: str,

@@ -34,8 +34,7 @@ code:
   float32 inference) and writes ``BENCH_hotpaths.json``;
   ``bench kernels`` times every registered kernel op on the selected
   backends (``--backends reference,fast``), re-proves each
-  backend's parity tier plus the int8 precision floors, and
-  writes ``BENCH_kernels.json``;
+  backend's parity tier, and writes ``BENCH_kernels.json``;
   ``bench dag`` runs the monolithic-vs-stage-pipelined serving
   comparison (cold and warm monitoring caches, cross-mode functional
   parity) and writes ``BENCH_dag.json``; ``bench pandemic`` drives a
@@ -503,12 +502,10 @@ def _cmd_bench_kernels(args) -> int:
     payload = run_kernel_bench(quick=args.quick, repeats=args.repeats,
                                size=args.size,
                                with_calibration=not args.no_calibration,
-                               with_precision=not args.no_precision,
                                backends=backends)
     return finish_bench(
-        payload, args.out, format_kernel_summary, gate_key="gate_ok",
-        failure_msg="PARITY/PRECISION FAILURE: a backend diverges beyond "
-                    "its tier or a reduced-precision floor is violated")
+        payload, args.out, format_kernel_summary,
+        failure_msg="PARITY FAILURE: a backend diverges beyond its tier")
 
 
 def _cmd_bench_dag(args) -> int:
@@ -746,9 +743,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=_cmd_bench_hotpaths)
     pk = bench_sub.add_parser(
         "kernels", help="time every registered kernel op on the selected "
-                        "backends, check per-backend parity tiers and the "
-                        "int8 precision floors, and write "
-                        "BENCH_kernels.json")
+                        "backends, check per-backend parity tiers, and "
+                        "write BENCH_kernels.json")
     add_bench_arguments(pk, "BENCH_kernels.json")
     pk.add_argument("--repeats", type=int, default=None,
                     help="timing repeats per op (default: 3, quick: 2)")
@@ -756,8 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="spatial workload size (default: 64, quick: 24)")
     pk.add_argument("--no-calibration", action="store_true",
                     help="skip embedding the per-backend calibration fits")
-    pk.add_argument("--no-precision", action="store_true",
-                    help="skip the reduced-precision int8 arm")
     pk.add_argument("--backends", type=str, default=None,
                     help="comma-separated backends to bench (default: all "
                          "registered; reference is always included)")

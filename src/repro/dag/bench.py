@@ -31,10 +31,9 @@ payload to ``BENCH_dag.json`` and exit nonzero when any gate fails.
 
 from __future__ import annotations
 
-import os
-import platform
 from typing import Dict, Optional
 
+from repro.benchrunner import host_info
 from repro.serve import ServingEngine, make_workload
 
 __all__ = ["run_dag_bench", "format_dag_summary", "PARITY_PROB_TOL"]
@@ -159,11 +158,7 @@ def run_dag_bench(quick: bool = False,
         "bench": "serving_dag",
         "quick": bool(quick),
         "scenario": dict(SCENARIO),
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
+        "host": host_info(),
         "arms": arms,
         "headline": headline,
         "parity": parity_block,

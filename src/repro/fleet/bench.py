@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import tempfile
 from typing import Dict, List, Optional
 
+from repro.benchrunner import host_info
 from repro.fleet.autoscale import AutoscalerConfig
 from repro.fleet.engine import FleetEngine, FleetReport
 from repro.fleet.region import RegionConfig
@@ -308,11 +308,7 @@ def run_pandemic_bench(quick: bool = False,
             "requests": total_requests,
             "slo_deadline_s": 30.0,
         },
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
+        "host": host_info(),
         "scale": scale,
         "arms": arms,
         "capacity_table": capacity_table,

@@ -185,6 +185,12 @@ class FleetEngine:
                         if name in self.autoscalers
                         else len(region.engine.scheduler.workers))
                  for name, region in self.regions.items()}
+        # Drop the finished loop: its handlers point back at this fleet
+        # and at each region's engine, and that cycle would keep the
+        # run's events alive until the cyclic garbage collector ran.
+        self._loop = None
+        for region in self.regions.values():
+            region.unbind()
         return FleetReport(
             regions=reports,
             configs={n: r.config for n, r in self.regions.items()},

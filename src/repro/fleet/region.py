@@ -97,7 +97,6 @@ class RegionLoop:
     def __init__(self, loop, region: str):
         self._loop = loop
         self.region = region
-        self._pending = 0
         self._pending_kind: Dict[str, int] = {}
 
     @property
@@ -107,21 +106,22 @@ class RegionLoop:
     @property
     def pending(self) -> int:
         """This region's outstanding events (not the shared heap's)."""
-        return self._pending
+        return sum(self._pending_kind.values())
 
     def pending_of(self, kind: str) -> int:
         return self._pending_kind.get(kind, 0)
 
     def on(self, kind: str, handler) -> None:
-        def wrapped(payload, now, _h=handler, _k=kind):
-            self._pending -= 1
-            self._pending_kind[_k] -= 1
+        # The wrapper holds the counts, not this proxy: a proxy reachable
+        # from the shared loop's handlers would make the loop cyclic.
+        def wrapped(payload, now, _h=handler, _k=kind,
+                    _pending=self._pending_kind):
+            _pending[_k] -= 1
             _h(payload, now)
 
         self._loop.on(f"{kind}@{self.region}", wrapped)
 
     def schedule(self, t: float, kind: str, payload: object = None) -> None:
-        self._pending += 1
         self._pending_kind[kind] = self._pending_kind.get(kind, 0) + 1
         self._loop.schedule(t, f"{kind}@{self.region}", payload)
 
@@ -196,6 +196,11 @@ class Region:
         self.loop = RegionLoop(loop, self.config.name)
         self.engine.bind(self.loop)
         return self.loop
+
+    def unbind(self) -> None:
+        """Detach a finished run's loop from this region and its engine."""
+        self.loop = None
+        self.engine.unbind()
 
     def ensure_heartbeat(self) -> None:
         """Arm the engine's heartbeat chain if none is outstanding.

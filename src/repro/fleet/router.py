@@ -113,12 +113,17 @@ class SpilloverRouter:
         self.spills_in: Dict[str, int] = {name: 0 for name in regions}
         self._recent: Dict[str, deque] = {
             name: deque(maxlen=config.p99_window) for name in regions}
-        bus.subscribe(self._on_request_done, kinds=("request_done",))
+        # The subscription holds the latency windows, not this router: a
+        # bus -> router -> regions -> bus cycle would keep every event of
+        # a finished run alive until the cyclic garbage collector ran.
+        recent = self._recent
 
-    def _on_request_done(self, event) -> None:
-        window = self._recent.get(event.payload.get("region"))
-        if window is not None:
-            window.append(float(event.payload["latency_s"]))
+        def on_request_done(event) -> None:
+            window = recent.get(event.payload.get("region"))
+            if window is not None:
+                window.append(float(event.payload["latency_s"]))
+
+        bus.subscribe(on_request_done, kinds=("request_done",))
 
     # -- health signals --------------------------------------------------
     def recent_p99(self, name: str) -> Optional[float]:

@@ -35,14 +35,6 @@ from repro.nn.layers3d import (
 )
 from repro.nn.losses import BCELoss, BCEWithLogitsLoss, CompositeLoss, L1Loss, MSELoss, MSSSIMLoss
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.quantize import (
-    QuantizedParameter,
-    dequantize_state_dict,
-    load_quantized,
-    quantize_module,
-    quantize_state_dict,
-    save_quantized,
-)
 from repro.nn.lr_scheduler import ExponentialLR, LRScheduler, StepLR
 from repro.nn.data import DataLoader, Dataset, DistributedSampler, TensorDataset
 from repro.nn import init
@@ -58,8 +50,6 @@ __all__ = [
     "MSELoss", "L1Loss", "BCELoss", "BCEWithLogitsLoss", "MSSSIMLoss",
     "CompositeLoss",
     "Optimizer", "Adam", "SGD",
-    "QuantizedParameter", "quantize_module", "quantize_state_dict",
-    "dequantize_state_dict", "save_quantized", "load_quantized",
     "LRScheduler", "ExponentialLR", "StepLR",
     "Dataset", "TensorDataset", "DataLoader", "DistributedSampler",
     "init", "augment",

@@ -119,20 +119,13 @@ class Module:
         but is slower than float64 in NumPy); integer/bool buffers are
         left untouched.  Pending gradients are dropped
         (their dtype would no longer match).
-
-        Quantized parameters (:mod:`repro.nn.quantize`) re-target their
-        dequantization dtype instead of casting — the float view is
-        rebuilt from the original int8 payload at the new width.
         """
         dtype = np.dtype(dtype)
         if dtype.kind != "f":
             raise TypeError(f"to_dtype expects a float dtype; got {dtype}")
         for m in self.modules():
             for p in m._parameters.values():
-                if hasattr(p, "retarget_dtype"):
-                    p.retarget_dtype(dtype)
-                else:
-                    p.data = np.ascontiguousarray(p.data, dtype=dtype)
+                p.data = np.ascontiguousarray(p.data, dtype=dtype)
                 p.grad = None
             for name, b in m._buffers.items():
                 if b.dtype.kind == "f" and b.dtype != dtype:

@@ -20,13 +20,13 @@ flags still guard the contract that *does* transfer across hosts.
 from __future__ import annotations
 
 import json
-import os
-import platform
 import statistics
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
+
+from repro.benchrunner import host_info
 
 DEFAULT_WORKERS: Sequence[int] = (1, 2, 4)
 
@@ -178,12 +178,7 @@ def run_hotpath_bench(
         "schema": 1,
         "quick": quick,
         "workers_swept": [int(w) for w in workers],
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "host": host_info(),
         "paths": paths,
         "parity_ok": all(p["parity_ok"] for p in paths.values()),
     }

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import tempfile
 from typing import Dict
 
+from repro.benchrunner import host_info
 from repro.scenarios.suite import SCENARIOS, run_scenario_suite
 
 __all__ = ["run_scenarios_bench", "format_scenarios_summary",
@@ -123,11 +123,7 @@ def run_scenarios_bench(quick: bool = False) -> Dict[str, object]:
             "quantify_mae_gate_pp": QUANTIFY_MAE_GATE_PP,
             "serve_scenario": dict(SERVE_SCENARIO),
         },
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
+        "host": host_info(),
         "scenarios": {name: score.as_dict()
                       for name, score in scores.items()},
         "sweep_axes": {s.name: {"dose_fraction": s.dose_fraction,

@@ -366,6 +366,15 @@ class ServingEngine:
         loop.on("retry", self.dispatcher.on_retry)
         loop.on("heartbeat", self._on_heartbeat)
 
+    def unbind(self) -> None:
+        """Drop a finished run's loop.
+
+        Its handlers point back at this engine, and that cycle would keep
+        the run's events alive until the cyclic garbage collector
+        happened to run.
+        """
+        self._loop = self.dispatcher.loop = None
+
     def inject(self, requests: Sequence[ScanRequest]) -> None:
         """Schedule a workload's arrivals (and arm the heartbeat)."""
         for req in requests:
@@ -398,10 +407,7 @@ class ServingEngine:
         self.inject(requests)
         now = loop.run()
         self.finish(now)
-        # Drop the finished loop: its handlers point back at this engine,
-        # and that cycle would keep the run's events alive until the
-        # cyclic garbage collector happened to run.
-        self._loop = self.dispatcher.loop = None
+        self.unbind()
         events = self.telemetry.since(mark)
         return self.collect(now, len(requests), events)
 

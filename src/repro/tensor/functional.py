@@ -53,7 +53,7 @@ from repro.tensor.ops_pool import (
     upsample_nearest,
 )
 from repro.tensor.ops_norm import batch_norm
-from repro.tensor.ops_fused import conv_batch, fused_unpool_deconv
+from repro.tensor.ops_fused import fused_unpool_deconv
 
 __all__ = [
     "add", "sub", "mul", "div", "neg", "pow", "exp", "log", "sqrt", "abs",
@@ -64,5 +64,5 @@ __all__ = [
     "conv_transpose_nd",
     "max_pool_nd", "avg_pool_nd", "global_avg_pool",
     "upsample_bilinear", "upsample_nearest", "batch_norm",
-    "conv_batch", "fused_unpool_deconv",
+    "fused_unpool_deconv",
 ]

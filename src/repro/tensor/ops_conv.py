@@ -22,7 +22,7 @@ baseline-vs-refactored comparison.
 
 Execution goes through the :mod:`repro.backend` registry: the raw
 kernels below are registered as the ``reference`` backend for the
-``conv`` / ``deconv`` / ``conv_weight_grad`` / ``conv_bias_act`` ops
+``conv`` / ``deconv`` / ``conv_weight_grad`` ops
 and the autograd wrappers call :func:`repro.backend.registry.dispatch`,
 so other backends (:mod:`repro.backend.fast`) and per-dispatch
 telemetry slot in without touching this module.
@@ -40,7 +40,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.backend.counters import OpCounts, conv_counts_nd, leaky_relu_counts
+from repro.backend.counters import OpCounts, conv_counts_nd
 from repro.backend.registry import dispatch, register_kernel
 from repro.tensor.tensor import Tensor, as_tensor
 
@@ -226,19 +226,6 @@ def conv_nd_weight_grad(
     return (g_cols.T @ cols2).reshape(w_shape)
 
 
-def conv_bias_act_nd_forward(
-    x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray], stride, padding,
-    negative_slope: float = 0.01,
-) -> np.ndarray:
-    """Convolution + bias + Leaky-ReLU as one kernel (inference form).
-
-    The reference composes the conv kernel and the activation; the
-    fast backend applies the activation in place on its conv output.
-    """
-    out, _, _ = conv_nd_forward(x, w, bias, stride, padding, want_cols=False)
-    return np.where(out > 0, out, negative_slope * out)
-
-
 # ---------------------------------------------------------------------------
 # Analytic per-dispatch counts (Table 6 conventions, from real shapes)
 # ---------------------------------------------------------------------------
@@ -261,20 +248,12 @@ def _weight_grad_dispatch_counts(result, cols2, g, w_shape, **kwargs) -> OpCount
     return OpCounts(loads=2 * macs, stores=stores, flops=2 * macs)
 
 
-def _conv_bias_act_dispatch_counts(result, x, w, *args, **kwargs) -> OpCounts:
-    conv = conv_counts_nd(result.shape[2:], result.shape[1], w.shape[1],
-                          w.shape[2:], batch=result.shape[0])
-    return conv + leaky_relu_counts(result.size)
-
-
 register_kernel("conv", "reference", kind="convolution",
                 counts=_conv_dispatch_counts)(conv_nd_forward)
 register_kernel("deconv", "reference", kind="deconvolution",
                 counts=_deconv_dispatch_counts)(conv_nd_input_grad)
 register_kernel("conv_weight_grad", "reference", kind="convolution",
                 counts=_weight_grad_dispatch_counts)(conv_nd_weight_grad)
-register_kernel("conv_bias_act", "reference", kind="convolution",
-                counts=_conv_bias_act_dispatch_counts)(conv_bias_act_nd_forward)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@ The backend-wide parity grid lives in ``test_backend.py``; this module
 covers the fast backend's *mechanisms* — crossover selection, the
 filter-transform FFT cache and its invalidation hooks (including the
 dtype/backend composition edge cases and in-place weight updates), the
-fused decoder pair on DDnet, the batched multi-scan functional wrapper,
-and the bit-identical reference fallbacks.
+fused decoder pair on DDnet, and the bit-identical reference fallbacks.
 """
 
 import numpy as np
@@ -222,35 +221,6 @@ class TestFusedDecoder:
         assert bit_identical(expected.data, fused.data)
 
 
-class TestConvBatch:
-    def test_matches_per_scan_convs(self, rng):
-        scans = [rng.normal(size=(3, 6, 6)) for _ in range(4)]
-        w = Tensor(rng.normal(size=(4, 3, 5, 5)))
-        b = Tensor(rng.normal(size=4))
-        with no_grad():
-            batched = F.conv_batch(scans, w, bias=b, stride=1, padding=2,
-                                   backend="fast")
-            singles = [
-                F.conv_nd(Tensor(s[None]), w, bias=b, stride=1, padding=2).data[0]
-                for s in scans
-            ]
-        assert batched.data.shape == (4, 4, 6, 6)
-        assert allclose_ulp(np.stack(singles), batched.data)
-
-    def test_inference_only(self, rng):
-        scans = [rng.normal(size=(2, 4, 4))]
-        w = Tensor(rng.normal(size=(2, 2, 3, 3)))
-        with pytest.raises(RuntimeError, match="inference-only"):
-            F.conv_batch(scans, w)
-
-    def test_amortizes_one_filter_transform(self, rng):
-        scans = [rng.normal(size=(2, 8, 8)) for _ in range(4)]
-        w = rng.normal(size=(2, 2, 5, 5))
-        with no_grad():
-            dispatch("conv_batch", scans, w, None, 1, 2, None, backend="fast")
-        assert fft_cache_size() == 1
-
-
 class TestFallbacks:
     def test_fallback_fast_entries_bit_match_their_target(self, rng):
         x = rng.normal(size=(1, 3, 6, 6))
@@ -292,11 +262,6 @@ class TestFallbacks:
                 dispatch("deconv", g, w, x.shape, stride, padding,
                          backend="reference"),
                 dispatch("deconv", g, w, x.shape, stride, padding,
-                         backend="fast"))
-            assert bit_identical(
-                dispatch("conv_bias_act", x, w, bias, stride, padding, 0.01,
-                         backend="reference"),
-                dispatch("conv_bias_act", x, w, bias, stride, padding, 0.01,
                          backend="fast"))
         assert fft_cache_size() == 0
 

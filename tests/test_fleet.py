@@ -1,5 +1,6 @@
 """Tests for the multi-region pandemic-serving fleet (``repro.fleet``)."""
 
+import gc
 import json
 
 import pytest
@@ -92,6 +93,23 @@ class TestFleetEngine:
         # Spillover moves requests between regions but never loses any.
         assert total(summary, "requests") == sum(
             c.requests for c in report.configs.values())
+
+    def test_finished_run_leaves_no_cyclic_garbage(self):
+        # Reference counting alone must free a finished run: a cycle
+        # through the shared loop or bus would keep every event alive
+        # until the cyclic collector happened to run.
+        gc.collect()
+        gc.disable()
+        try:
+            run_fleet(small_regions())
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = sum(isinstance(o, TelemetryEvent) for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == 0
 
     def test_shared_loop_run_is_deterministic(self):
         a = run_fleet(small_regions()).summary()
