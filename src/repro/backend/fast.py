@@ -15,7 +15,11 @@ What it does differently:
   linear convolution of the input with the spatially flipped kernel.
   The channel contraction runs as one complex batched matmul
   ``(L,N,C)@(L,C,F)`` over the frequency bins, and FFT lengths are
-  rounded up to 5-smooth sizes (:func:`next_fast_len`).
+  rounded up to 5-smooth sizes (:func:`next_fast_len`).  The transforms
+  are ``scipy.fft``'s: unlike ``np.fft``, its float32 transforms run in
+  single precision (complex64), 3.4–3.8× faster than ``np.fft``'s on
+  the DDnet shapes (table in docs/backends.md), and it defaults to one
+  worker thread.
 - **filter-transform LRU cache** — the kernel's frequency-domain image
   is cached per weight array (identity/shape/dtype/fft-shape keyed,
   ``no_grad`` only) so repeated inference — and every scan of a
@@ -45,6 +49,7 @@ from collections import OrderedDict
 from typing import Optional, Tuple
 
 import numpy as np
+import scipy.fft
 
 from repro.backend.registry import REGISTRY, register_kernel
 from repro.tensor.ops_activation import leaky_relu_forward, relu_forward
@@ -115,7 +120,8 @@ def _filter_fft(w: np.ndarray, fshape: Tuple[int, ...], flip: bool) -> np.ndarra
     Cached per weight identity under ``no_grad`` (training mutates
     weights every step, so caching would only churn); invalidated by
     :func:`~repro.backend.registry.clear_kernel_caches`, which
-    ``load_state_dict``, ``to_dtype`` and every optimizer step call.
+    ``load_state_dict``, a dtype-changing ``to_dtype`` and every
+    optimizer step call.
     """
     from repro.tensor.tensor import is_grad_enabled
 
@@ -130,7 +136,7 @@ def _filter_fft(w: np.ndarray, fshape: Tuple[int, ...], flip: bool) -> np.ndarra
                 _FFT_CACHE.move_to_end(key)
                 return hit[1]
     wk = w[(slice(None), slice(None)) + (slice(None, None, -1),) * nd] if flip else w
-    wf = np.fft.rfftn(wk, s=fshape, axes=axes)
+    wf = scipy.fft.rfftn(wk, s=fshape, axes=axes)
     if cache:
         with _fft_lock:
             _FFT_CACHE[key] = (w, wf)
@@ -194,10 +200,10 @@ def _fft_correlate(
     )
     fshape = tuple(next_fast_len(sp[i] + kernel[i] - 1) for i in range(nd))
     axes = tuple(range(2, 2 + nd))
-    xf = np.fft.rfftn(xp, s=fshape, axes=axes)
+    xf = scipy.fft.rfftn(xp, s=fshape, axes=axes)
     wf = _filter_fft(w, fshape, flip=True)                  # (F, C, *freq)
     yf = _freq_contract(xf, wf, transpose_b=True)           # (N, F, *freq)
-    y = np.fft.irfftn(yf, s=fshape, axes=axes)
+    y = scipy.fft.irfftn(yf, s=fshape, axes=axes)
     slicer = (slice(None), slice(None)) + tuple(
         slice(kernel[i] - 1, kernel[i] - 1 + (out_sp[i] - 1) * stride[i] + 1, stride[i])
         for i in range(nd)
@@ -246,10 +252,10 @@ def conv_nd_input_grad_fast(
     xp_sp = tuple(x_shape[2 + i] + 2 * padding_t[i] for i in range(nd))
     fshape = tuple(next_fast_len(s) for s in xp_sp)
     axes = tuple(range(2, 2 + nd))
-    gf = np.fft.rfftn(g, s=fshape, axes=axes)
+    gf = scipy.fft.rfftn(g, s=fshape, axes=axes)
     wf = _filter_fft(w, fshape, flip=False)                 # (F, C, *freq)
     yf = _freq_contract(gf, wf, transpose_b=False)          # (N, C, *freq)
-    y = np.fft.irfftn(yf, s=fshape, axes=axes)
+    y = scipy.fft.irfftn(yf, s=fshape, axes=axes)
     y = y[(slice(None), slice(None)) + tuple(slice(0, s) for s in xp_sp)]
     dtype = np.result_type(g.dtype, w.dtype)
     return np.ascontiguousarray(

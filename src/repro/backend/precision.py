@@ -74,13 +74,13 @@ def bit_identical(a, b) -> bool:
                for x, y in zip(xs, ys))
 
 
-def allclose_ulp(a, b, dtype=None) -> bool:
+def allclose_ulp(a, b) -> bool:
     """Ulp-tier check: dtype-aware relative tolerance, dtypes preserved.
 
-    ``dtype`` overrides the tolerance class (defaults to the reference
-    result's dtype); the candidate must still *produce* the reference's
-    dtype — an op that silently widens float32 to float64 fails here
-    even if the values agree.
+    The tolerance class is the reference result's dtype
+    (:data:`ULP_RTOL`), and the candidate must *produce* that dtype: an
+    op that silently widens float32 to float64 fails here even if the
+    values agree.
     """
     xs, ys = _as_arrays(a), _as_arrays(b)
     if len(xs) != len(ys):
@@ -88,8 +88,7 @@ def allclose_ulp(a, b, dtype=None) -> bool:
     for x, y in zip(xs, ys):
         if x.dtype != y.dtype:
             return False
-        key = np.dtype(dtype).name if dtype is not None else x.dtype.name
-        rtol = ULP_RTOL.get(key, ULP_RTOL["float64"])
+        rtol = ULP_RTOL.get(x.dtype.name, ULP_RTOL["float64"])
         scale = float(np.max(np.abs(x))) if x.size else 0.0
         if not np.allclose(np.asarray(x, dtype=np.float64),
                            np.asarray(y, dtype=np.float64),

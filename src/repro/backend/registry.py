@@ -245,7 +245,8 @@ def clear_kernel_caches() -> None:
     """Invalidate weight-derived kernel caches (e.g. the fast FFT cache).
 
     Called automatically by :meth:`repro.nn.module.Module.load_state_dict`,
-    :meth:`~repro.nn.module.Module.to_dtype` and every optimizer step;
+    a :meth:`~repro.nn.module.Module.to_dtype` that changes a dtype and
+    every optimizer step;
     call it manually after mutating a parameter's ``.data`` array in
     place outside those paths.
     """

@@ -21,9 +21,10 @@ Simulated time is modelled, so arm timings are deterministic — no
 repeats needed.  Functional parity is *measured*: a small workload is
 run through both modes with full verification on one shared
 reduced-scale framework, and per-request predictions must match
-exactly (probabilities to ``PARITY_PROB_TOL`` — batch composition
+exactly, and probabilities must agree at the ulp tier of their dtype
+(:func:`repro.backend.precision.allclose_ulp`) — batch composition
 differs between modes, so float reassociation inside
-``diagnose_batch`` can move the last few ULPs).
+``diagnose_batch`` can move the last few ulps.
 
 ``repro bench dag`` / ``benchmarks/bench_serving_dag.py`` write the
 payload to ``BENCH_dag.json`` and exit nonzero when any gate fails.
@@ -33,15 +34,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+import numpy as np
+
+from repro.backend.precision import ULP_RTOL, allclose_ulp
 from repro.benchrunner import host_info
 from repro.serve import ServingEngine, make_workload
 
-__all__ = ["run_dag_bench", "format_dag_summary", "PARITY_PROB_TOL"]
-
-#: Probability tolerance for cross-mode functional parity.  Predictions
-#: must match exactly; probabilities may drift by float reassociation
-#: because the two modes group requests into different verify batches.
-PARITY_PROB_TOL = 1e-9
+__all__ = ["run_dag_bench", "format_dag_summary"]
 
 #: The benchmark scenario (chosen so the monitoring arms are robustly
 #: past the DAG's swap/transfer overhead across seeds).
@@ -85,20 +84,25 @@ def _parity(quick: bool) -> Dict[str, object]:
                         for r in report.completed}
     mono, dag = by_mode["monolithic"], by_mode["dag"]
     compared = sorted(set(mono) & set(dag))
-    max_delta = 0.0
     predictions_match = set(mono) == set(dag)
+    pairs = []
     for rid in compared:
         a, b = mono[rid], dag[rid]
         if a is None or b is None:
             predictions_match = predictions_match and a is b
             continue
         predictions_match = predictions_match and a.prediction == b.prediction
-        max_delta = max(max_delta, abs(a.probability - b.probability))
-    ok = bool(predictions_match and max_delta <= PARITY_PROB_TOL)
+        pairs.append((a.probability, b.probability))
+    # Probabilities keep the classifier's dtype, so the tolerance is the
+    # ulp tier of that dtype (rtol 1e-9 at float64, 1e-4 at float32).
+    p_mono = np.array([a for a, _ in pairs])
+    p_dag = np.array([b for _, b in pairs])
+    max_delta = float(np.max(np.abs(p_mono - p_dag))) if pairs else 0.0
+    ok = bool(predictions_match and allclose_ulp(p_mono, p_dag))
     return {"requests": n, "compared": len(compared),
             "predictions_match": predictions_match,
-            "max_prob_delta": max_delta, "tolerance": PARITY_PROB_TOL,
-            "ok": ok}
+            "max_prob_delta": max_delta, "dtype": p_mono.dtype.name,
+            "tolerance": ULP_RTOL[p_mono.dtype.name], "ok": ok}
 
 
 def run_dag_bench(quick: bool = False,
@@ -199,6 +203,6 @@ def format_dag_summary(payload: Dict[str, object]) -> str:
     else:
         lines.append(f"  parity: predictions_match={p['predictions_match']}, "
                      f"max_prob_delta={p['max_prob_delta']:.2e} "
-                     f"(tol {p['tolerance']:.0e})")
+                     f"(rtol {p['tolerance']:.0e}, {p['dtype']})")
     lines.append(f"  gates_ok={payload['gates_ok']}")
     return "\n".join(lines)

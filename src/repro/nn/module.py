@@ -114,25 +114,29 @@ class Module:
 
         ``model.to_dtype(np.float32)`` is the inference fast path: with
         every op dtype-preserving, a float32 model halves the working
-        set of the im2col convolution stack and roughly doubles BLAS
-        throughput.  Any float dtype works (float16 halves it again,
-        but is slower than float64 in NumPy); integer/bool buffers are
-        left untouched.  Pending gradients are dropped
-        (their dtype would no longer match).
+        set of the convolution stack.  Integer/bool buffers are left
+        untouched.  A cast parameter drops its pending gradient (its
+        dtype would no longer match).  Casting to the dtype the model
+        already has changes nothing and keeps the kernel caches.
         """
         dtype = np.dtype(dtype)
         if dtype.kind != "f":
             raise TypeError(f"to_dtype expects a float dtype; got {dtype}")
+        changed = False
         for m in self.modules():
             for p in m._parameters.values():
-                p.data = np.ascontiguousarray(p.data, dtype=dtype)
-                p.grad = None
+                if p.data.dtype != dtype:
+                    p.data = np.ascontiguousarray(p.data, dtype=dtype)
+                    p.grad = None
+                    changed = True
             for name, b in m._buffers.items():
                 if b.dtype.kind == "f" and b.dtype != dtype:
                     cast = np.ascontiguousarray(b, dtype=dtype)
                     m._buffers[name] = cast
                     object.__setattr__(m, name, cast)
-        _clear_kernel_caches()
+                    changed = True
+        if changed:
+            _clear_kernel_caches()
         return self
 
     # -- kernel backend ---------------------------------------------------

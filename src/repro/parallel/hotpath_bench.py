@@ -6,7 +6,8 @@ sweep):
 1. low-dose dataset simulation (:func:`repro.data.make_enhancement_pairs`
    with the full §3.1.2 physics chain),
 2. batch inference (:meth:`ComputeCovid19Plus.score_batch`),
-3. the float32 inference fast path (:meth:`ComputeCovid19Plus.to_dtype`).
+3. float32 inference, the framework default, against an explicit
+   float64 copy (:meth:`ComputeCovid19Plus.to_dtype`).
 
 Alongside every timing it re-checks the correctness contract — parallel
 results bit-identical to serial, float32 probabilities within tolerance
@@ -125,18 +126,27 @@ def _bench_batch_scoring(workers: Iterable[int], repeats: int,
 
 
 def _bench_float32_inference(repeats: int, size: int, num_slices: int) -> Dict:
-    """Hot path 3: ``to_dtype(float32)`` + no-grad conv fast path."""
+    """Hot path 3: float32 inference (the framework default) vs float64."""
     from repro.data import chest_volume
-    from repro.pipeline import ComputeCovid19Plus
+    from repro.pipeline import ClassificationAI, ComputeCovid19Plus, EnhancementAI
 
     volume = chest_volume(size, num_slices, rng=np.random.default_rng(3))
-    framework = ComputeCovid19Plus()
+    enhancement, classification = EnhancementAI(), ClassificationAI()
+    weights = [t.model.state_dict() for t in (enhancement, classification)]
+    framework = ComputeCovid19Plus(enhancement=enhancement,
+                                   classification=classification)
+    # The constructor rounded the weights to float32; the float64 arm
+    # runs the unrounded originals, as a float64-trained model would.
+    for tool, state in zip((enhancement, classification), weights):
+        tool.model.load_state_dict(state)
     prob64 = framework.diagnose(volume).probability
+    assert prob64.dtype == np.float64, "the float64 arm must infer in float64"
     t64 = median_seconds(lambda: framework.diagnose(volume), repeats)
     framework.to_dtype(np.float32)
     prob32 = framework.diagnose(volume).probability
+    assert prob32.dtype == np.float32, "the float32 arm must infer in float32"
     t32 = median_seconds(lambda: framework.diagnose(volume), repeats)
-    delta = abs(prob64 - prob32)
+    delta = float(abs(prob64 - prob32))
     return {
         "params": {"size": size, "num_slices": num_slices},
         "float64": t64,

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro import nn
 from repro.models.densenet3d import DenseNet3D
-from repro.pipeline.training import Trainer, TrainingHistory
+from repro.pipeline.training import Trainer, TrainingHistory, require_float64
 from repro.tensor import no_grad
 from repro.tensor.tensor import Tensor
 
@@ -50,6 +50,7 @@ class ClassificationAI:
         verbose: bool = False,
     ) -> TrainingHistory:
         """Train on a labeled volume dataset ((N,1,D,H,W) HU/1000, y)."""
+        require_float64(self.model, "ClassificationAI")
         optimizer = nn.Adam(self.model.parameters(), lr=self.lr)
         self._trainer = Trainer(self.model, optimizer, self._loss_fn)
         train_loader = nn.DataLoader(dataset, batch_size=batch_size, shuffle=True, seed=seed)
@@ -73,34 +74,39 @@ class ClassificationAI:
         return self
 
     # ------------------------------------------------------------------
-    def predict_proba(self, volume_hu: np.ndarray) -> float:
-        """COVID-19 probability for one (D, H, W) HU volume."""
+    def predict_proba(self, volume_hu: np.ndarray) -> np.floating:
+        """COVID-19 probability for one (D, H, W) HU volume.
+
+        A NumPy scalar of the model's dtype (``np.float32`` in a
+        :class:`~repro.pipeline.ComputeCovid19Plus`).
+        """
         if volume_hu.ndim != 3:
             raise ValueError(f"expected (D, H, W); got shape {volume_hu.shape}")
         self.model.eval()
         with no_grad():
             p = self.model.predict_proba(
                 Tensor(volume_hu[None, None] / 1000.0, dtype=self.model.dtype))
-        return float(p.data[0])
+        return p.data[0]
 
     def predict_proba_batch(self, volumes_hu: Sequence[np.ndarray]) -> np.ndarray:
         """Probabilities for a sequence of (D, H, W) HU volumes.
 
         Same-shaped volumes run as one stacked (N, 1, D, H, W) forward
         pass (eval-mode batch norm keeps samples independent, so the
-        numbers match the per-volume path); mixed shapes fall back to
-        per-volume inference.
+        numbers match the per-volume path up to BLAS summation order);
+        mixed shapes fall back to per-volume inference.  The array has
+        the model's dtype.
         """
         volumes = [np.asarray(v) for v in volumes_hu]
         if not volumes:
-            return np.zeros(0)
+            return np.zeros(0, dtype=self.model.dtype)
         if all(v.shape == volumes[0].shape for v in volumes):
             self.model.eval()
             with no_grad():
                 p = self.model.predict_proba(
                     Tensor(np.stack(volumes)[:, None] / 1000.0,
                            dtype=self.model.dtype))
-            return np.asarray(p.data, dtype=float).reshape(len(volumes))
+            return p.data.reshape(len(volumes))
         return np.array([self.predict_proba(v) for v in volumes])
 
     def predict(self, volume_hu: np.ndarray, threshold: float = 0.5) -> int:

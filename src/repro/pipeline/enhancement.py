@@ -15,7 +15,7 @@ import numpy as np
 from repro import nn
 from repro.models.ddnet import DDnet
 from repro.nn.losses import CompositeLoss
-from repro.pipeline.training import Trainer, TrainingHistory
+from repro.pipeline.training import Trainer, TrainingHistory, require_float64
 from repro.tensor import no_grad
 from repro.tensor.tensor import Tensor
 
@@ -55,6 +55,7 @@ class EnhancementAI:
         verbose: bool = False,
     ) -> TrainingHistory:
         """Train on (low-dose, full-dose) pairs; returns loss history."""
+        require_float64(self.model, "EnhancementAI")
         optimizer = nn.Adam(self.model.parameters(), lr=self.lr)
         scheduler = nn.ExponentialLR(optimizer, gamma=self.lr_gamma)
         self._trainer = Trainer(self.model, optimizer, self.loss, scheduler)

@@ -24,6 +24,9 @@ from repro.pipeline.classification import ClassificationAI
 from repro.pipeline.enhancement import EnhancementAI
 from repro.pipeline.segmentation import SegmentationAI
 
+#: dtype every framework casts its learned stages to: diagnosis and
+#: serving run in float32, training stays float64 (docs/backends.md).
+INFERENCE_DTYPE = np.float32
 
 # ---------------------------------------------------------------------------
 # Worker-side state for the data-parallel inference fan-out.
@@ -41,7 +44,7 @@ def _adopt_replica(framework: "ComputeCovid19Plus") -> None:
     _WORKER_FRAMEWORK = framework
 
 
-def _score_shared_volume(handle: ShmArray) -> float:
+def _score_shared_volume(handle: ShmArray) -> np.floating:
     """Fan-out item: probability for one shared-memory volume."""
     return _WORKER_FRAMEWORK.diagnose(handle.asarray()).probability
 
@@ -51,7 +54,7 @@ def _diagnose_shared_span(
     volumes: ShmArray,
     segmented: ShmArray,
     masks: ShmArray,
-) -> float:
+) -> np.floating:
     """Fan-out item: diagnose one scan held as a span of a shared stack.
 
     Reads slices ``[offset, offset+depth)`` of the shared input, writes
@@ -67,9 +70,14 @@ def _diagnose_shared_span(
 
 @dataclass
 class DiagnosisResult:
-    """Output of one pipeline run."""
+    """Output of one pipeline run.
 
-    probability: float
+    ``probability`` is a NumPy scalar of the classifier's dtype
+    (``np.float32`` by default), not widened to a Python float, so that
+    a comparison against it knows which precision produced it.
+    """
+
+    probability: np.floating
     prediction: int
     threshold: float
     enhanced: bool
@@ -94,6 +102,10 @@ class ComputeCovid19Plus:
     use_enhancement:
         Include the Enhancement AI stage (the green Fig. 3 path) or skip
         it (the §5.2.2 baseline arm).
+
+    The learned stages are cast in place to :data:`INFERENCE_DTYPE`
+    (float32) on construction; ``to_dtype(np.float64)`` casts them back,
+    e.g. to train one further.
     """
 
     def __init__(
@@ -112,6 +124,7 @@ class ComputeCovid19Plus:
         self.threshold = threshold
         self.use_enhancement = use_enhancement
         self.hu_window = hu_window
+        self.to_dtype(INFERENCE_DTYPE)
         if backend is not None:
             self.to_backend(backend)
 
@@ -155,7 +168,9 @@ class ComputeCovid19Plus:
         forward pass when the scans share a shape — the execution shape
         a serving batch (``repro.serve``) dispatches to a device.  Every
         stage operates per-slice / per-volume in eval mode, so results
-        are identical to calling :meth:`diagnose` per scan.
+        match calling :meth:`diagnose` per scan up to float
+        reassociation: BLAS may sum a stacked matmul in another order,
+        which moves a float32 probability by a few ulps.
 
         ``workers=N`` switches to the data-parallel path: scans are
         stacked once into shared memory, each worker process diagnoses
@@ -185,7 +200,7 @@ class ComputeCovid19Plus:
         probs = self.classification.predict_proba_batch(segmented)
         return [
             DiagnosisResult(
-                probability=float(p),
+                probability=p,
                 prediction=int(p >= self.threshold),
                 threshold=self.threshold,
                 enhanced=self.use_enhancement,
@@ -216,7 +231,7 @@ class ComputeCovid19Plus:
             mask_out = masks.copy()
         return [
             DiagnosisResult(
-                probability=float(p),
+                probability=p,
                 prediction=int(p >= self.threshold),
                 threshold=self.threshold,
                 enhanced=self.use_enhancement,
@@ -258,13 +273,13 @@ class ComputeCovid19Plus:
         return self.threshold
 
     def to_dtype(self, dtype) -> "ComputeCovid19Plus":
-        """Cast every learned stage to ``dtype`` (the float32 fast path).
+        """Cast every learned stage to ``dtype``.
 
-        ``framework.to_dtype(np.float32)`` halves inference working
-        memory and roughly doubles BLAS throughput at a small accuracy
-        cost (probabilities move by ~float32 epsilon-scale amounts).
-        The threshold-backend segmentation stage is dtype-free; an
-        AH-Net backend is cast along with the rest.
+        Frameworks start in float32 (:data:`INFERENCE_DTYPE`), which
+        halves the bytes every kernel moves at a probability cost of
+        ~1e-7 (docs/performance.md); ``to_dtype(np.float64)`` returns to
+        double precision.  The threshold-backend segmentation stage is
+        dtype-free; an AH-Net backend is cast along with the rest.
         """
         self.enhancement.to_dtype(dtype)
         self.classification.to_dtype(dtype)
@@ -301,9 +316,15 @@ class ComputeCovid19Plus:
                  hu_window=np.asarray(self.hu_window, dtype=float))
 
     def load(self, path_prefix: str) -> None:
-        """Restore stages saved by :meth:`save` (architectures must match)."""
+        """Restore stages saved by :meth:`save` (architectures must match).
+
+        The stages keep the framework's dtype whatever the checkpoint's:
+        a float64 training checkpoint loads as a float32 framework.
+        """
+        dtype = self.classification.model.dtype
         self.enhancement.load(path_prefix + ".enhancement.npz")
         self.classification.load(path_prefix + ".classification.npz")
+        self.to_dtype(dtype)
         with np.load(path_prefix + ".meta.npz") as meta:
             self.threshold = float(meta["threshold"])
             self.use_enhancement = bool(meta["use_enhancement"])

@@ -67,6 +67,19 @@ def clip_gradients(parameters, max_norm: float) -> float:
     return norm
 
 
+def require_float64(model: Module, tool: str) -> None:
+    """Refuse to train ``model`` in anything but float64.
+
+    Training runs in double precision; a tool taken from a
+    :class:`~repro.pipeline.ComputeCovid19Plus` holds float32 weights
+    and must be cast back explicitly first.
+    """
+    if model.dtype != np.float64:
+        raise ValueError(
+            f"{tool} trains in float64, but its model is {model.dtype}; "
+            f"call to_dtype(np.float64) on it first")
+
+
 class Trainer:
     """Epoch-driven training loop.
 

@@ -40,6 +40,7 @@ included.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -125,21 +126,16 @@ class BatchVerifier:
     def framework_degraded(self):
         """The no-enhancement (Fig. 13 original) arm for degraded batches.
 
-        Shares the primary framework's segmentation and classification
-        tools, so a degraded result differs from the full-quality one
-        only by the skipped Enhancement AI stage.
+        A shallow copy of the primary framework: it shares the stage
+        tools (and so their dtype, backend and weights), so a degraded
+        result differs from the full-quality one only by the skipped
+        Enhancement AI stage.  It does not go through the constructor,
+        whose dtype cast would change the shared stages in place.
         """
         if self._framework_degraded is None:
-            from repro.pipeline import ComputeCovid19Plus
-
-            base = self.framework
-            self._framework_degraded = ComputeCovid19Plus(
-                enhancement=base.enhancement,
-                segmentation=base.segmentation,
-                classification=base.classification,
-                threshold=base.threshold,
-                use_enhancement=False,
-            )
+            degraded = copy.copy(self.framework)
+            degraded.use_enhancement = False
+            self._framework_degraded = degraded
         return self._framework_degraded
 
     @property

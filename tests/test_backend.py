@@ -714,6 +714,8 @@ class TestEveryOpHasACaller:
                 framework.to_backend(backend)
                 framework.diagnose(scan)
             framework.to_backend(None)
+            # The framework cast DDnet to float32; training runs in float64.
+            enhancer.to_dtype(np.float64)
             enhancer.train(EnhancementDataset(pairs[:1], pairs[1:]), epochs=1)
             with no_grad():
                 tiny_ddnet(global_shortcuts=False)(Tensor(pairs[:1]))

@@ -217,6 +217,7 @@ class TestFramework:
         assert len(batch) == 3
         for b, s in zip(batch, singles):
             assert b.probability == pytest.approx(s.probability, abs=1e-9)
+            assert b.probability.dtype == s.probability.dtype == np.float32
             assert b.prediction == s.prediction
             assert b.enhanced == s.enhanced
             np.testing.assert_array_equal(b.lung_mask, s.lung_mask)
@@ -262,3 +263,124 @@ class TestFramework:
         # Output stays within the display window used for normalization.
         assert out.min() >= -1400.0 - 1e-6
         assert out.max() <= 200.0 + 1e-6
+
+
+def _seeded_stages(seed=0):
+    """Tiny float64 stage tools (AH-Net segmentation), same weights per seed."""
+    from repro.models.ahnet import AHNet3D
+
+    rng = np.random.default_rng(seed)
+    return dict(
+        enhancement=EnhancementAI(DDnet(base_channels=4, growth=4, num_blocks=2,
+                                        layers_per_block=2, rng=rng)),
+        segmentation=SegmentationAI("ahnet", AHNet3D(base=2, rng=rng)),
+        classification=ClassificationAI(DenseNet3D(
+            block_layers=(1, 1, 1, 1), growth=4, init_features=4, rng=rng)))
+
+
+def _seeded_framework(seed=0, **kwargs):
+    """A tiny framework: the seeded stages, cast to float32."""
+    return ComputeCovid19Plus(**_seeded_stages(seed), **kwargs)
+
+
+def _float64_framework(seed=0, **kwargs):
+    """The seeded framework in float64 with its weights as initialised.
+
+    ``to_dtype(np.float64)`` after construction would only widen weights
+    the constructor has already rounded to float32; loading the original
+    state dicts restores the unrounded values (and their dtype).
+    """
+    stages = _seeded_stages(seed)
+    models = (stages["enhancement"].model, stages["segmentation"].ahnet,
+              stages["classification"].model)
+    states = [m.state_dict() for m in models]
+    framework = ComputeCovid19Plus(**stages, **kwargs)
+    for model, state in zip(models, states):
+        model.load_state_dict(state)
+    return framework
+
+
+class TestFloat32Inference:
+    """The framework infers in float32; training stays float64."""
+
+    def test_construction_casts_every_stage(self):
+        framework = _seeded_framework()
+        assert framework.enhancement.model.dtype == np.float32
+        assert framework.segmentation.ahnet.dtype == np.float32
+        assert framework.classification.model.dtype == np.float32
+        assert framework.to_dtype(np.float64).classification.model.dtype == np.float64
+
+    def test_every_path_returns_the_model_dtype(self):
+        framework = _seeded_framework()
+        vols = [chest_volume(16, 16, covid=bool(i % 2), rng=np.random.default_rng(70 + i))
+                for i in range(2)]
+        assert framework.diagnose(vols[0]).probability.dtype == np.float32
+        assert framework.score_batch(vols).dtype == np.float32
+        segmented = [framework.segmentation.apply(v)[0] for v in vols]
+        assert framework.classification.predict_proba_batch(segmented).dtype == np.float32
+        assert framework.classification.predict_proba_batch([]).dtype == np.float32
+        assert framework.to_dtype(np.float64).diagnose(vols[0]).probability.dtype == np.float64
+
+    def test_accuracy_floors_against_float64(self):
+        from repro.ct.hounsfield import LUNG_WINDOW
+        from repro.metrics.image import psnr
+
+        vol = chest_volume(32, 16, covid=True, rng=np.random.default_rng(7))
+        f32 = _seeded_framework(backend="fast")
+        f64 = _float64_framework(backend="fast")
+        assert f64.enhancement.model.dtype == f64.segmentation.ahnet.dtype == np.float64
+        assert f64.classification.model.dtype == np.float64
+        window = LUNG_WINDOW[1] - LUNG_WINDOW[0]
+        assert psnr(f32.enhance_volume_hu(vol), f64.enhance_volume_hu(vol),
+                    data_range=window) >= 100.0
+        r32, r64 = f32.diagnose(vol), f64.diagnose(vol)
+        assert abs(r32.probability - r64.probability) <= 1e-6
+        np.testing.assert_array_equal(r32.lung_mask, r64.lung_mask)
+
+    def test_fast_matches_reference_at_the_float32_tier(self):
+        # The perfbench diagnose_lowdose oracle, on the default framework.
+        from repro.backend.precision import allclose_ulp
+
+        vol = chest_volume(32, 16, covid=True, rng=np.random.default_rng(7))
+        framework = ComputeCovid19Plus(backend="fast")
+        fast = framework.diagnose(vol).probability
+        ref = framework.to_backend("reference").diagnose(vol).probability
+        assert allclose_ulp(np.array([fast]), np.array([ref]))
+
+    def test_sharing_float32_stages_keeps_the_fft_cache(self):
+        from repro.backend.fast import fft_cache_size
+
+        framework = _seeded_framework(backend="fast")
+        framework.diagnose(chest_volume(16, 16, rng=np.random.default_rng(3)))
+        filled = fft_cache_size()
+        assert filled > 0
+        ComputeCovid19Plus(enhancement=framework.enhancement,
+                           segmentation=framework.segmentation,
+                           classification=framework.classification,
+                           use_enhancement=False)
+        assert fft_cache_size() == filled
+
+    def test_load_keeps_the_framework_dtype(self, tmp_path):
+        prefix = str(tmp_path / "fw")
+        _seeded_framework(1).to_dtype(np.float64).save(prefix)
+        fresh = _seeded_framework(2)
+        fresh.load(prefix)
+        assert fresh.enhancement.model.dtype == np.float32
+        assert fresh.classification.model.dtype == np.float32
+
+    def test_enhancement_training_refuses_float32(self):
+        enhancer = _seeded_framework().enhancement
+        pairs = np.random.default_rng(0).uniform(0.0, 1.0, (2, 1, 16, 16))
+        dataset = EnhancementDataset(pairs[:1], pairs[1:])
+        with pytest.raises(ValueError, match=r"to_dtype\(np\.float64\)"):
+            enhancer.train(dataset, epochs=1)
+        enhancer.to_dtype(np.float64).train(dataset, epochs=1)
+
+    def test_classification_training_refuses_float32(self):
+        classifier = _seeded_framework().classification
+        vols = np.stack([chest_volume(16, 16, rng=np.random.default_rng(i))
+                         for i in range(2)])[:, None] / 1000.0
+        dataset = ClassificationDataset(vols, np.array([0, 1]))
+        with pytest.raises(ValueError, match=r"to_dtype\(np\.float64\)"):
+            classifier.train(dataset, epochs=1)
+        classifier.to_dtype(np.float64).train(dataset, epochs=1)

@@ -10,6 +10,7 @@ from repro.serve import (
     AdmissionQueue,
     Batch,
     BatchPolicy,
+    BatchVerifier,
     DynamicBatcher,
     FleetScheduler,
     ResultCache,
@@ -407,22 +408,26 @@ class TestEngineInvariants:
 
 
 # ---------------------------------------------------------------------------
+def _tiny_framework():
+    from repro.models import DDnet, DenseNet3D
+    from repro.pipeline import ClassificationAI, ComputeCovid19Plus, EnhancementAI
+
+    return ComputeCovid19Plus(
+        enhancement=EnhancementAI(
+            model=DDnet(base_channels=4, growth=4, num_blocks=2,
+                        layers_per_block=2, dense_kernel=3, deconv_kernel=3,
+                        rng=np.random.default_rng(0)),
+            msssim_levels=1, msssim_window=5),
+        classification=ClassificationAI(
+            model=DenseNet3D(block_layers=(1, 1, 1, 1), growth=4,
+                             init_features=4, rng=np.random.default_rng(0))),
+    )
+
+
 class TestEngineFunctional:
     @pytest.fixture(scope="class")
     def tiny_framework(self):
-        from repro.models import DDnet, DenseNet3D
-        from repro.pipeline import ClassificationAI, ComputeCovid19Plus, EnhancementAI
-
-        return ComputeCovid19Plus(
-            enhancement=EnhancementAI(
-                model=DDnet(base_channels=4, growth=4, num_blocks=2,
-                            layers_per_block=2, dense_kernel=3, deconv_kernel=3,
-                            rng=np.random.default_rng(0)),
-                msssim_levels=1, msssim_window=5),
-            classification=ClassificationAI(
-                model=DenseNet3D(block_layers=(1, 1, 1, 1), growth=4,
-                                 init_features=4, rng=np.random.default_rng(0))),
-        )
+        return _tiny_framework()
 
     def test_served_results_are_genuine_and_cache_safe(self, tiny_framework):
         reqs = make_workload(10, rate_per_s=6.0, seed=2, dup_fraction=0.5,
@@ -455,6 +460,22 @@ class TestEngineFunctional:
         assert rep.verified_batches == 1
         with_results = [r for r in rep.completed if r.result is not None]
         assert 0 < len(with_results) < len(rep.completed)
+
+    def test_degraded_arm_keeps_the_framework_dtype(self):
+        # A float64 framework handed to the engine stays float64 once a
+        # degraded batch has built the no-enhancement arm over its stages.
+        framework = _tiny_framework().to_dtype(np.float64)
+        verifier = BatchVerifier(("enhance", "segment", "classify"), budget=1,
+                                 framework=framework)
+        reqs = make_workload(2, seed=1, dup_fraction=0.0, size=16, slices=16)
+        batch = Batch(batch_id=0, stage="classify", requests=reqs, formed_s=0.0)
+        results = verifier.verify(batch, {reqs[0].request_id})
+        assert framework.enhancement.model.dtype == np.float64
+        assert framework.classification.model.dtype == np.float64
+        assert framework.use_enhancement
+        assert not results[reqs[0].request_id].enhanced
+        assert results[reqs[1].request_id].enhanced
+        assert {r.probability.dtype for r in results.values()} == {np.dtype(np.float64)}
 
 
 # ---------------------------------------------------------------------------
