@@ -14,6 +14,11 @@ queue renormalization) can carry an explicit waiver: put
 ``# kernel-lint: allow`` on the offending line or the line directly
 above it.
 
+Model and layer code also passes no ``backend=`` keyword: calling a
+module selects its backend for the whole forward
+(:meth:`repro.nn.module.Module.__call__`), so a per-call backend
+argument is a second, partial routing path.
+
 A second pass checks *registry completeness*: every registered op must
 either have a ``fast`` kernel or be explicitly declared in
 :data:`repro.backend.fast.FALLBACK_OPS` — a new op can't silently run
@@ -123,6 +128,11 @@ def lint_source(source: str, path: str = "<string>") -> List[Violation]:
                     f"registry; use a repro.tensor op or dispatch()"))
         if not isinstance(node, ast.Call):
             continue
+        if any(kw.arg == "backend" for kw in node.keywords):
+            violations.append(Violation(
+                path, node.lineno,
+                "`backend=` argument — a module's backend is scoped by "
+                "Module.__call__; select it with Module.to_backend"))
         parts = _dotted(node.func)
         if not parts or parts[0] not in aliases or len(parts) < 2:
             continue

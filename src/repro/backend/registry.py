@@ -17,8 +17,10 @@ executed through :func:`dispatch`, so
   :func:`trace_dispatches` and real inference becomes visible through
   the exact same lens as the simulated device fleet,
 - backend selection nests: an explicit ``backend=`` argument beats the
-  thread-local :func:`use_backend` scope, which beats the process-wide
-  :func:`set_default_backend`.
+  thread-local :func:`use_backend` scope, which beats the thread default
+  of :func:`set_default_backend`.  Calling a module whose backend is set
+  (:meth:`repro.nn.module.Module.to_backend`) enters that scope for the
+  duration of its forward.
 
 Providers register lazily: importing this module pulls in **nothing**
 from the rest of the package; the op modules are imported on the first

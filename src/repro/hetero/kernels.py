@@ -4,8 +4,9 @@ Each kernel *really computes* its operation and returns the analytic
 operation counts alongside the result, mirroring the paper's
 "implementing counters in each kernel" methodology (Table 6, note 2).
 Execution is routed through the :mod:`repro.backend` kernel registry,
-so these instrumented wrappers run on any registered backend
-(``backend="fast"`` selects the FFT kernels) and participate in dispatch-level telemetry like every other call site.
+so these instrumented wrappers run on the thread's backend
+(``with use_backend("fast"):`` selects the FFT kernels) and participate
+in dispatch-level telemetry like every other call site.
 
 Two deconvolution formulations exist, reproducing Fig. 9 — now in any
 dimensionality (the paper's kernels are 2D; the 3D forms cover the
@@ -61,10 +62,9 @@ class KernelResult:
 # N-dimensional kernels
 # ---------------------------------------------------------------------------
 def conv_nd_kernel(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None,
-                   stride=1, padding=0, backend: Optional[str] = None) -> KernelResult:
+                   stride=1, padding=0) -> KernelResult:
     """Convolution via im2col + GEMM (the optimized formulation)."""
-    out, _, _ = dispatch("conv", x, w, bias, stride, padding,
-                         want_cols=False, backend=backend)
+    out, _, _ = dispatch("conv", x, w, bias, stride, padding, want_cols=False)
     counts = conv_counts_nd(out.shape[2:], out.shape[1], w.shape[1], w.shape[2:],
                             batch=out.shape[0])
     return KernelResult(out, counts, "convolution")
@@ -110,8 +110,7 @@ def deconv_nd_naive_kernel(x: np.ndarray, w: np.ndarray,
     return KernelResult(np.ascontiguousarray(out), counts, "deconvolution_naive")
 
 
-def deconv_nd_refactored_kernel(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
-                                backend: Optional[str] = None) -> KernelResult:
+def deconv_nd_refactored_kernel(x: np.ndarray, w: np.ndarray, stride=1, padding=0) -> KernelResult:
     """Fig. 9b: gather deconvolution via inverse coefficient mapping.
 
     Determines, per output element, the contributing input block, and
@@ -133,41 +132,34 @@ def deconv_nd_refactored_kernel(x: np.ndarray, w: np.ndarray, stride=1, padding=
         (x.shape[2 + i] - 1) * stride_t[i] + kernel[i] - 2 * padding_t[i]
         for i in range(nd)
     )
-    out = dispatch("deconv", x, w, (n, f) + out_spatial, stride_t, padding_t,
-                   backend=backend)
+    out = dispatch("deconv", x, w, (n, f) + out_spatial, stride_t, padding_t)
     counts = conv_counts_nd(out_spatial, f, c, kernel, batch=n)
     return KernelResult(np.ascontiguousarray(out), counts, "deconvolution")
 
 
-def maxpool_nd_kernel(x: np.ndarray, k=3, stride=2, padding=1,
-                      backend: Optional[str] = None) -> KernelResult:
+def maxpool_nd_kernel(x: np.ndarray, k=3, stride=2, padding=1) -> KernelResult:
     """Max pooling (3×3/stride-2 in DDnet)."""
-    out, _, _ = dispatch("maxpool", x, k, stride, padding,
-                         want_indices=False, backend=backend)
+    out, _, _ = dispatch("maxpool", x, k, stride, padding, want_indices=False)
     counts = pool_counts_nd(out.shape[2:], out.shape[1], k, batch=out.shape[0])
     return KernelResult(out, counts, "pooling")
 
 
-def unpool_nd_kernel(x: np.ndarray, scale: int = 2,
-                     backend: Optional[str] = None) -> KernelResult:
+def unpool_nd_kernel(x: np.ndarray, scale: int = 2) -> KernelResult:
     """Separable-linear un-pooling (bilinear in 2D, trilinear in 3D)."""
-    out = dispatch("unpool", x, scale, backend=backend)
+    out = dispatch("unpool", x, scale)
     counts = unpool_counts_nd(out.shape[2:], out.shape[1], batch=out.shape[0])
     return KernelResult(out, counts, "unpooling")
 
 
-def leaky_relu_kernel(x: np.ndarray, negative_slope: float = 0.01,
-                      backend: Optional[str] = None) -> KernelResult:
-    out = dispatch("leaky_relu", x, negative_slope, backend=backend)
+def leaky_relu_kernel(x: np.ndarray, negative_slope: float = 0.01) -> KernelResult:
+    out = dispatch("leaky_relu", x, negative_slope)
     return KernelResult(out, leaky_relu_counts(x.size), "leaky_relu")
 
 
 def batchnorm_kernel(x: np.ndarray, mean: np.ndarray, var: np.ndarray,
-                     gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5,
-                     backend: Optional[str] = None) -> KernelResult:
+                     gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> KernelResult:
     """Inference-mode batch normalization with running statistics."""
-    out, _, _ = dispatch("batchnorm", x, mean, var, gamma, beta, eps,
-                         backend=backend)
+    out, _, _ = dispatch("batchnorm", x, mean, var, gamma, beta, eps)
     return KernelResult(out, batchnorm_counts(x.size), "batchnorm")
 
 
@@ -175,9 +167,8 @@ def batchnorm_kernel(x: np.ndarray, mean: np.ndarray, var: np.ndarray,
 # 2D wrappers (the original Fig. 9 / Table 6 surface)
 # ---------------------------------------------------------------------------
 def conv2d_kernel(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None,
-                  stride: int = 1, padding: int = 0,
-                  backend: Optional[str] = None) -> KernelResult:
-    return conv_nd_kernel(x, w, bias, stride, padding, backend=backend)
+                  stride: int = 1, padding: int = 0) -> KernelResult:
+    return conv_nd_kernel(x, w, bias, stride, padding)
 
 
 def deconv2d_naive_kernel(x: np.ndarray, w: np.ndarray,
@@ -186,19 +177,16 @@ def deconv2d_naive_kernel(x: np.ndarray, w: np.ndarray,
 
 
 def deconv2d_refactored_kernel(x: np.ndarray, w: np.ndarray,
-                               stride: int = 1, padding: int = 0,
-                               backend: Optional[str] = None) -> KernelResult:
-    return deconv_nd_refactored_kernel(x, w, stride, padding, backend=backend)
+                               stride: int = 1, padding: int = 0) -> KernelResult:
+    return deconv_nd_refactored_kernel(x, w, stride, padding)
 
 
-def maxpool_kernel(x: np.ndarray, k: int = 3, stride: int = 2, padding: int = 1,
-                   backend: Optional[str] = None) -> KernelResult:
-    return maxpool_nd_kernel(x, k, stride, padding, backend=backend)
+def maxpool_kernel(x: np.ndarray, k: int = 3, stride: int = 2, padding: int = 1) -> KernelResult:
+    return maxpool_nd_kernel(x, k, stride, padding)
 
 
-def unpool_bilinear_kernel(x: np.ndarray, scale: int = 2,
-                           backend: Optional[str] = None) -> KernelResult:
-    return unpool_nd_kernel(x, scale, backend=backend)
+def unpool_bilinear_kernel(x: np.ndarray, scale: int = 2) -> KernelResult:
+    return unpool_nd_kernel(x, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +200,9 @@ def _require_volume(x: np.ndarray, w: np.ndarray) -> None:
 
 
 def conv3d_kernel(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None,
-                  stride: int = 1, padding: int = 0,
-                  backend: Optional[str] = None) -> KernelResult:
+                  stride: int = 1, padding: int = 0) -> KernelResult:
     _require_volume(x, w)
-    return conv_nd_kernel(x, w, bias, stride, padding, backend=backend)
+    return conv_nd_kernel(x, w, bias, stride, padding)
 
 
 def deconv3d_naive_kernel(x: np.ndarray, w: np.ndarray,
@@ -225,7 +212,6 @@ def deconv3d_naive_kernel(x: np.ndarray, w: np.ndarray,
 
 
 def deconv3d_refactored_kernel(x: np.ndarray, w: np.ndarray,
-                               stride: int = 1, padding: int = 0,
-                               backend: Optional[str] = None) -> KernelResult:
+                               stride: int = 1, padding: int = 0) -> KernelResult:
     _require_volume(x, w)
-    return deconv_nd_refactored_kernel(x, w, stride, padding, backend=backend)
+    return deconv_nd_refactored_kernel(x, w, stride, padding)

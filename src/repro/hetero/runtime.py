@@ -152,12 +152,9 @@ class InferenceEngine:
         perf_model: Optional[PerfModel] = None,
         fault_hook: Optional[Callable[[str, str, float], float]] = None,
         bus: Optional[EventBus] = None,
-        backend: Optional[str] = None,
     ):
         self.model = model
         self.device = device
-        #: Kernel backend every launch dispatches on (None = thread default).
-        self.backend = backend
         #: Optional shared telemetry bus: every trace this engine
         #: produces emits its kernel launches (and an ``inference``
         #: span) here, e.g. the serving engine's spine.
@@ -205,8 +202,7 @@ class InferenceEngine:
 
     def _deconv(self, trace, site, x, w, stride=1, padding=0):
         if self.config.refactor_deconv:
-            return self._charge(trace, site, deconv2d_refactored_kernel(
-                x, w, stride, padding, backend=self.backend))
+            return self._charge(trace, site, deconv2d_refactored_kernel(x, w, stride, padding))
         return self._charge(trace, site, deconv2d_naive_kernel(x, w, stride, padding))
 
     def _conv_bn_act(self, trace, site, x, conv_mod, bn_mod):
@@ -214,17 +210,14 @@ class InferenceEngine:
             trace, site,
             conv2d_kernel(x, conv_mod.weight.data,
                           conv_mod.bias.data if conv_mod.bias is not None else None,
-                          stride=conv_mod.stride, padding=conv_mod.padding,
-                          backend=self.backend),
+                          stride=conv_mod.stride, padding=conv_mod.padding),
         )
         x = self._charge(
             trace, site + ":bn",
             batchnorm_kernel(x, bn_mod.running_mean, bn_mod.running_var,
-                             bn_mod.weight.data, bn_mod.bias.data, bn_mod.eps,
-                             backend=self.backend),
+                             bn_mod.weight.data, bn_mod.bias.data, bn_mod.eps),
         )
-        return self._charge(trace, site + ":act",
-                            leaky_relu_kernel(x, backend=self.backend))
+        return self._charge(trace, site + ":act", leaky_relu_kernel(x))
 
     def _deconv_bn_act(self, trace, site, x, block):
         x = self._deconv(trace, site, x, block.deconv.weight.data,
@@ -232,11 +225,9 @@ class InferenceEngine:
         x = self._charge(
             trace, site + ":bn",
             batchnorm_kernel(x, block.bn.running_mean, block.bn.running_var,
-                             block.bn.weight.data, block.bn.bias.data, block.bn.eps,
-                             backend=self.backend),
+                             block.bn.weight.data, block.bn.bias.data, block.bn.eps),
         )
-        return self._charge(trace, site + ":act",
-                            leaky_relu_kernel(x, backend=self.backend))
+        return self._charge(trace, site + ":act", leaky_relu_kernel(x))
 
     # -- the DDnet forward schedule ---------------------------------------
     def run(self, x: np.ndarray) -> tuple[np.ndarray, ExecutionTrace]:
@@ -257,42 +248,35 @@ class InferenceEngine:
         for i, (block, transition, pool) in enumerate(zip(m.blocks, m.transitions, m.pools)):
             h = self._charge(trace, f"pool{i + 1}",
                              maxpool_kernel(h, pool.kernel_size, pool.stride,
-                                            pool.padding, backend=self.backend))
+                                            pool.padding))
             feats = h
             for j, layer in enumerate(block.layers):  # noqa: B007
                 site = f"db{i + 1}.l{j + 1}"
                 a = self._charge(
                     trace, site + ".bn1",
                     batchnorm_kernel(feats, layer.bn1.running_mean, layer.bn1.running_var,
-                                     layer.bn1.weight.data, layer.bn1.bias.data, layer.bn1.eps,
-                                     backend=self.backend),
+                                     layer.bn1.weight.data, layer.bn1.bias.data, layer.bn1.eps),
                 )
-                a = self._charge(trace, site + ".act1",
-                                 leaky_relu_kernel(a, backend=self.backend))
+                a = self._charge(trace, site + ".act1", leaky_relu_kernel(a))
                 a = self._charge(trace, site + ".1x1",
                                  conv2d_kernel(a, layer.conv1.weight.data, None,
-                                               stride=1, padding=0,
-                                               backend=self.backend))
+                                               stride=1, padding=0))
                 a = self._charge(
                     trace, site + ".bn2",
                     batchnorm_kernel(a, layer.bn2.running_mean, layer.bn2.running_var,
-                                     layer.bn2.weight.data, layer.bn2.bias.data, layer.bn2.eps,
-                                     backend=self.backend),
+                                     layer.bn2.weight.data, layer.bn2.bias.data, layer.bn2.eps),
                 )
-                a = self._charge(trace, site + ".act2",
-                                 leaky_relu_kernel(a, backend=self.backend))
+                a = self._charge(trace, site + ".act2", leaky_relu_kernel(a))
                 a = self._charge(trace, site + ".kxk",
                                  conv2d_kernel(a, layer.conv2.weight.data, None,
-                                               stride=1, padding=layer.conv2.padding,
-                                               backend=self.backend))
+                                               stride=1, padding=layer.conv2.padding))
                 feats = np.concatenate([feats, a], axis=1)
             h = self._conv_bn_act(trace, f"transition{i + 1}", feats,
                                   transition.conv, transition.bn)
             skips.append(h)
         shortcut_feats = skips[-2::-1] + [stem]
         for stage in range(m.num_blocks):
-            h = self._charge(trace, f"unpool{stage + 1}",
-                             unpool_bilinear_kernel(h, 2, backend=self.backend))
+            h = self._charge(trace, f"unpool{stage + 1}", unpool_bilinear_kernel(h, 2))
             h = np.concatenate([h, shortcut_feats[stage]], axis=1)
             h = self._deconv_bn_act(trace, f"deconv{stage + 1}a", h, m.deconvs_a[stage])
             if stage < m.num_blocks - 1:

@@ -6,14 +6,16 @@ volumes by using *anisotropic* kernels: in-plane k×k×1 convolutions
 through-plane convolutions.  This implementation keeps that defining
 structure — anisotropic encoder, isotropic decoder with skip
 connections — in an encoder/decoder for binary (lung vs. background)
-voxel classification.
+voxel classification.  The anisotropic kernels are stored at their true
+shapes, ``(out, in, 1, k, k)`` and ``(out, out, k, 1, 1)``, so a forward
+pass multiplies no structural zeros and training cannot grow taps
+outside the anisotropic support.
 
-The paper uses NVIDIA Clara's pretrained AH-Net "as is"; the analogous
-artifact here is :meth:`AHNet3D.pretrained_lung`, which distils the
-deterministic threshold-and-morphology lung extractor of
-:mod:`repro.pipeline.segmentation` into network behaviour by training
-on procedurally generated phantoms (done lazily by callers that need
-it; the unit tests train tiny instances directly).
+The paper uses NVIDIA Clara's pretrained AH-Net "as is".  No pretrained
+lung AH-Net ships here: :class:`repro.pipeline.segmentation.SegmentationAI`
+stands in for it with a deterministic threshold-and-morphology lung
+extractor, and an :class:`AHNet3D` passed to it segments with whatever
+weights it has (the unit tests train tiny instances directly).
 """
 
 from __future__ import annotations
@@ -31,31 +33,25 @@ from repro.tensor.tensor import Tensor
 class _AnisotropicConv(nn.Module):
     """(1, k, k) in-plane conv followed by (k, 1, 1) through-plane conv.
 
-    Built from two 3D convolutions with hand-shaped kernels: weights are
-    stored as full cubic kernels with zeros outside the anisotropic
-    support (a simple way to keep the generic conv3d kernels, at the
-    cost of a few multiplications by structural zeros).
+    Both weights are stored at their true shapes and convolved with
+    per-axis padding, so the output keeps the input's spatial shape.
     """
 
-    def __init__(self, in_ch: int, out_ch: int, k: int = 3, rng=None):
+    def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator, k: int = 3):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         from repro.nn import init
 
-        # In-plane kernel: (out, in, 1, k, k) zero-padded to depth k.
-        w_in = np.zeros((out_ch, in_ch, k, k, k))
-        w_in[:, :, k // 2] = init.kaiming_normal((out_ch, in_ch, k, k), rng=rng)
-        self.w_inplane = Parameter(w_in)
-        # Through-plane kernel: (out, out, k, 1, 1) zero-padded.
-        w_tp = np.zeros((out_ch, out_ch, k, k, k))
-        w_tp[:, :, :, k // 2, k // 2] = init.kaiming_normal((out_ch, out_ch, k), rng=rng)
-        self.w_through = Parameter(w_tp)
+        w_in = init.kaiming_normal((out_ch, in_ch, k, k), rng=rng)
+        self.w_inplane = Parameter(w_in.reshape(out_ch, in_ch, 1, k, k))
+        w_tp = init.kaiming_normal((out_ch, out_ch, k), rng=rng)
+        self.w_through = Parameter(w_tp.reshape(out_ch, out_ch, k, 1, 1))
         self.bn = nn.BatchNorm3d(out_ch)
         self.k = k
 
     def forward(self, x: Tensor) -> Tensor:
-        h = F.conv3d(x, self.w_inplane, padding=self.k // 2)
-        h = F.conv3d(h, self.w_through, padding=self.k // 2)
+        p = self.k // 2
+        h = F.conv3d(x, self.w_inplane, padding=(0, p, p))
+        h = F.conv3d(h, self.w_through, padding=(p, 0, 0))
         return F.leaky_relu(self.bn(h))
 
 
@@ -77,11 +73,11 @@ class AHNet3D(nn.Module):
         chans: List[int] = []
         for d in range(depth):
             out = base * (2**d)
-            self.enc.append(_AnisotropicConv(ch, out, rng=rng))
+            self.enc.append(_AnisotropicConv(ch, out, rng))
             self.pools.append(nn.MaxPool3d(2, 2))
             chans.append(out)
             ch = out
-        self.bottleneck = _AnisotropicConv(ch, ch * 2, rng=rng)
+        self.bottleneck = _AnisotropicConv(ch, ch * 2, rng)
         self.ups = nn.ModuleList()
         self.dec = nn.ModuleList()
         ch = ch * 2
@@ -119,6 +115,6 @@ class AHNet3D(nn.Module):
 
         self.eval()
         with no_grad():
-            logits = self.forward(Tensor(volume[None, None]))
+            logits = self(Tensor(volume[None, None], dtype=self.dtype))
             prob = F.sigmoid(logits).data[0, 0]
         return prob >= threshold

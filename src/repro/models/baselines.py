@@ -64,7 +64,7 @@ class Classifier2D(nn.Module):
         return self.fc(self.features(x))
 
     def predict_proba(self, x: Tensor) -> Tensor:
-        logits = self.forward(x)
+        logits = self(x)
         return F.sigmoid(logits.reshape(logits.shape[0]))
 
 

@@ -70,7 +70,6 @@ class _DeconvBNAct(nn.Module):
         h = F.fused_unpool_deconv(
             x, d.weight, bias=d.bias, scale=scale, stride=d.stride,
             padding=d.padding, output_padding=d.output_padding,
-            backend=self.backend,
         )
         return F.leaky_relu(self.bn(h))
 

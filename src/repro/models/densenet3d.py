@@ -113,5 +113,5 @@ class DenseNet3D(nn.Module):
 
     def predict_proba(self, x: Tensor) -> Tensor:
         """Probability of the positive class, shape (N,)."""
-        logits = self.forward(x)
+        logits = self(x)
         return F.sigmoid(logits.reshape(logits.shape[0]))

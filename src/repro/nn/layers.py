@@ -43,7 +43,7 @@ class Conv2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.weight, self.bias, stride=self.stride,
-                        padding=self.padding, backend=self.backend)
+                        padding=self.padding)
 
     def __repr__(self):
         return (
@@ -83,7 +83,6 @@ class ConvTranspose2d(Module):
         return F.conv_transpose2d(
             x, self.weight, self.bias,
             stride=self.stride, padding=self.padding, output_padding=self.output_padding,
-            backend=self.backend,
         )
 
     def __repr__(self):
@@ -129,7 +128,6 @@ class _BatchNormNd(Module):
             x, self.weight, self.bias,
             running_mean=self.running_mean, running_var=self.running_var,
             training=self.training, momentum=self.momentum, eps=self.eps,
-            backend=self.backend,
         )
 
     def __repr__(self):
@@ -152,8 +150,7 @@ class MaxPool2d(Module):
         self.padding = padding
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool_nd(x, self.kernel_size, self.stride, self.padding,
-                             backend=self.backend)
+        return F.max_pool_nd(x, self.kernel_size, self.stride, self.padding)
 
     def __repr__(self):
         return f"MaxPool2d(k={self.kernel_size}, s={self.stride}, p={self.padding})"
@@ -167,8 +164,7 @@ class AvgPool2d(Module):
         self.padding = padding
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool_nd(x, self.kernel_size, self.stride, self.padding,
-                             backend=self.backend)
+        return F.avg_pool_nd(x, self.kernel_size, self.stride, self.padding)
 
 
 class UpsampleBilinear2d(Module):
@@ -179,7 +175,7 @@ class UpsampleBilinear2d(Module):
         self.scale = scale
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.upsample_bilinear(x, self.scale, backend=self.backend)
+        return F.upsample_bilinear(x, self.scale)
 
     def __repr__(self):
         return f"UpsampleBilinear2d(scale={self.scale})"
@@ -187,7 +183,7 @@ class UpsampleBilinear2d(Module):
 
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
-        return F.relu(x, backend=self.backend)
+        return F.relu(x)
 
 
 class LeakyReLU(Module):
@@ -196,7 +192,7 @@ class LeakyReLU(Module):
         self.negative_slope = negative_slope
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.leaky_relu(x, self.negative_slope, backend=self.backend)
+        return F.leaky_relu(x, self.negative_slope)
 
     def __repr__(self):
         return f"LeakyReLU({self.negative_slope})"

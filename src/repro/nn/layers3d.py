@@ -45,7 +45,7 @@ class Conv3d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.conv3d(x, self.weight, self.bias, stride=self.stride,
-                        padding=self.padding, backend=self.backend)
+                        padding=self.padding)
 
     def __repr__(self):
         return (
@@ -83,7 +83,6 @@ class ConvTranspose3d(Module):
         return F.conv_transpose3d(
             x, self.weight, self.bias,
             stride=self.stride, padding=self.padding, output_padding=self.output_padding,
-            backend=self.backend,
         )
 
 
@@ -99,8 +98,7 @@ class MaxPool3d(Module):
         self.padding = padding
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool_nd(x, self.kernel_size, self.stride, self.padding,
-                             backend=self.backend)
+        return F.max_pool_nd(x, self.kernel_size, self.stride, self.padding)
 
 
 class AvgPool3d(Module):
@@ -111,8 +109,7 @@ class AvgPool3d(Module):
         self.padding = padding
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool_nd(x, self.kernel_size, self.stride, self.padding,
-                             backend=self.backend)
+        return F.avg_pool_nd(x, self.kernel_size, self.stride, self.padding)
 
 
 class GlobalAvgPool(Module):
@@ -128,4 +125,4 @@ class UpsampleTrilinear3d(Module):
         self.scale = scale
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.upsample_bilinear(x, self.scale, backend=self.backend)
+        return F.upsample_bilinear(x, self.scale)

@@ -13,6 +13,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.backend.registry import _state as _dispatch_state
 from repro.tensor.tensor import Tensor
 
 
@@ -71,7 +72,18 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        # The module's backend scopes every dispatch of its forward,
+        # including ``F.*`` calls in model code; a module without one
+        # inherits the caller's.  ``to_backend`` validated the name.
+        backend = self.__dict__.get("_backend")
+        if backend is None:
+            return self.forward(*args, **kwargs)
+        previous = getattr(_dispatch_state, "backend", None)
+        _dispatch_state.backend = backend
+        try:
+            return self.forward(*args, **kwargs)
+        finally:
+            _dispatch_state.backend = previous
 
     # -- traversal ------------------------------------------------------
     def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
@@ -150,7 +162,8 @@ class Module:
 
         ``backend`` names a registered backend (``"reference"``,
         ``"fast"``); ``None`` reverts to the thread-scoped default
-        (see :func:`repro.backend.registry.use_backend`).
+        (see :func:`repro.backend.registry.use_backend`).  Calling the
+        module selects its backend for the whole of ``forward``.
         """
         if backend is not None:
             from repro.backend.registry import known_backends

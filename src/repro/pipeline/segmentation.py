@@ -9,8 +9,11 @@ map here:
   (HU thresholding + connected components + hole filling), standing in
   for the pretrained model exactly as a frozen network would,
 - :class:`repro.models.ahnet.AHNet3D` — the trainable anisotropic
-  hybrid network, for users who want to train their own (tested on
-  phantom data in the test suite).
+  hybrid network with true-shape (1, k, k) in-plane and (k, 1, 1)
+  through-plane kernels, for users who want to train their own (tested
+  on phantom data in the test suite).  No trained lung AH-Net ships
+  with the repository: the network segments with the weights it is
+  given.
 """
 
 from __future__ import annotations
@@ -70,8 +73,8 @@ class SegmentationAI:
 
     ``backend='threshold'`` (default) reproduces the paper's frozen
     pretrained-model role deterministically; ``backend='ahnet'`` uses a
-    provided :class:`AHNet3D` (train it first — see the tests for the
-    phantom-distillation recipe).
+    provided :class:`AHNet3D` as it is (train it first — the tests fit
+    tiny instances to phantom masks).
     """
 
     def __init__(

@@ -45,9 +45,9 @@ register_kernel("leaky_relu", "reference", kind="leaky_relu",
 # ---------------------------------------------------------------------------
 # Autograd ops
 # ---------------------------------------------------------------------------
-def relu(a, backend=None) -> Tensor:
+def relu(a) -> Tensor:
     a = as_tensor(a)
-    out_data = dispatch("relu", a.data, backend=backend)
+    out_data = dispatch("relu", a.data)
 
     def backward(g):
         a._accumulate(g * (a.data > 0))
@@ -55,10 +55,10 @@ def relu(a, backend=None) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def leaky_relu(a, negative_slope: float = 0.01, backend=None) -> Tensor:
+def leaky_relu(a, negative_slope: float = 0.01) -> Tensor:
     """Leaky ReLU: ``x`` if positive else ``negative_slope * x``."""
     a = as_tensor(a)
-    out_data = dispatch("leaky_relu", a.data, negative_slope, backend=backend)
+    out_data = dispatch("leaky_relu", a.data, negative_slope)
 
     def backward(g):
         a._accumulate(np.where(a.data > 0, g, negative_slope * g))

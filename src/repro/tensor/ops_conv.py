@@ -41,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.backend.counters import OpCounts, conv_counts_nd
-from repro.backend.registry import dispatch, register_kernel
+from repro.backend.registry import dispatch, get_backend, register_kernel
 from repro.tensor.tensor import Tensor, as_tensor
 
 IntOrTuple = int
@@ -259,7 +259,7 @@ register_kernel("conv_weight_grad", "reference", kind="convolution",
 # ---------------------------------------------------------------------------
 # Autograd ops
 # ---------------------------------------------------------------------------
-def conv_nd(x, w, bias=None, stride=1, padding=0, backend=None) -> Tensor:
+def conv_nd(x, w, bias=None, stride=1, padding=0) -> Tensor:
     """N-d convolution over an ``(N, C, *spatial)`` tensor."""
     x, w = as_tensor(x), as_tensor(w)
     b = as_tensor(bias) if bias is not None else None
@@ -278,6 +278,9 @@ def conv_nd(x, w, bias=None, stride=1, padding=0, backend=None) -> Tensor:
     # under no_grad (inference) the conv records no parents and the
     # buffer dies with this call frame.
     needs_w_grad = is_grad_enabled() and w.requires_grad
+    # The backward pass runs outside every module scope: it reuses the
+    # backend the forward ran on.
+    backend = get_backend()
     out_data, cols2, _ = dispatch(
         "conv", x.data, w.data, b.data if b is not None else None, stride, padding,
         want_cols=needs_w_grad, backend=backend,
@@ -298,8 +301,7 @@ def conv_nd(x, w, bias=None, stride=1, padding=0, backend=None) -> Tensor:
     return Tensor._make(out_data, parents, backward)
 
 
-def conv_transpose_nd(x, w, bias=None, stride=1, padding=0, output_padding=0,
-                      backend=None) -> Tensor:
+def conv_transpose_nd(x, w, bias=None, stride=1, padding=0, output_padding=0) -> Tensor:
     """N-d transposed convolution ("deconvolution" in the paper).
 
     ``w`` has shape ``(C_in, C_out, *kernel)``.  Output spatial size is
@@ -327,6 +329,7 @@ def conv_transpose_nd(x, w, bias=None, stride=1, padding=0, output_padding=0,
     # role: the Fig. 9b gather at stride 1 when C_in <= C_out, the
     # col2im scatter otherwise.
     y_shape = (x.data.shape[0], w.data.shape[1]) + out_spatial
+    backend = get_backend()
     out_data = dispatch("deconv", x.data, w.data, y_shape, stride_t, padding_t,
                         backend=backend)
     if b is not None:
@@ -359,21 +362,19 @@ def conv_transpose_nd(x, w, bias=None, stride=1, padding=0, output_padding=0,
 
 
 # Convenience wrappers -------------------------------------------------------
-def conv2d(x, w, bias=None, stride=1, padding=0, backend=None) -> Tensor:
-    return conv_nd(x, w, bias=bias, stride=stride, padding=padding, backend=backend)
+def conv2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
+    return conv_nd(x, w, bias=bias, stride=stride, padding=padding)
 
 
-def conv3d(x, w, bias=None, stride=1, padding=0, backend=None) -> Tensor:
-    return conv_nd(x, w, bias=bias, stride=stride, padding=padding, backend=backend)
+def conv3d(x, w, bias=None, stride=1, padding=0) -> Tensor:
+    return conv_nd(x, w, bias=bias, stride=stride, padding=padding)
 
 
-def conv_transpose2d(x, w, bias=None, stride=1, padding=0, output_padding=0,
-                     backend=None) -> Tensor:
+def conv_transpose2d(x, w, bias=None, stride=1, padding=0, output_padding=0) -> Tensor:
     return conv_transpose_nd(x, w, bias=bias, stride=stride, padding=padding,
-                             output_padding=output_padding, backend=backend)
+                             output_padding=output_padding)
 
 
-def conv_transpose3d(x, w, bias=None, stride=1, padding=0, output_padding=0,
-                     backend=None) -> Tensor:
+def conv_transpose3d(x, w, bias=None, stride=1, padding=0, output_padding=0) -> Tensor:
     return conv_transpose_nd(x, w, bias=bias, stride=stride, padding=padding,
-                             output_padding=output_padding, backend=backend)
+                             output_padding=output_padding)

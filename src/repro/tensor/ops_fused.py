@@ -57,7 +57,7 @@ register_kernel("unpool_deconv", "reference", kind="deconvolution",
 # Functional wrapper
 # ---------------------------------------------------------------------------
 def fused_unpool_deconv(x, w, bias=None, scale: int = 2, stride=1, padding=0,
-                        output_padding=0, backend=None) -> Tensor:
+                        output_padding=0) -> Tensor:
     """Decoder pair as one dispatch: ``deconv(unpool(x, scale), w)``.
 
     Under gradient mode this composes the two autograd ops (training
@@ -69,10 +69,9 @@ def fused_unpool_deconv(x, w, bias=None, scale: int = 2, stride=1, padding=0,
 
     x, w = as_tensor(x), as_tensor(w)
     if is_grad_enabled():
-        up = upsample_bilinear(x, scale, backend=backend)
+        up = upsample_bilinear(x, scale)
         return conv_transpose_nd(up, w, bias=bias, stride=stride,
-                                 padding=padding,
-                                 output_padding=output_padding, backend=backend)
+                                 padding=padding, output_padding=output_padding)
     b = as_tensor(bias) if bias is not None else None
     nd = w.data.ndim - 2
     stride_t = _tuplify(stride, nd)
@@ -88,7 +87,7 @@ def fused_unpool_deconv(x, w, bias=None, scale: int = 2, stride=1, padding=0,
         raise ValueError(f"non-positive fused deconv output shape {out_spatial}")
     y_shape = (x.data.shape[0], w.data.shape[1]) + out_spatial
     out = dispatch("unpool_deconv", x.data, w.data, y_shape, scale,
-                   stride_t, padding_t, backend=backend)
+                   stride_t, padding_t)
     if b is not None:
         out = out + b.data.reshape((1, -1) + (1,) * nd)
     return Tensor._make(out, (), None)

@@ -64,7 +64,6 @@ def batch_norm(
     training: bool = True,
     momentum: float = 0.1,
     eps: float = 1e-5,
-    backend=None,
 ) -> Tensor:
     """Batch normalization over an ``(N, C, *spatial)`` tensor.
 
@@ -92,9 +91,7 @@ def batch_norm(
         var = running_var
 
     out_data, x_hat, inv_std = dispatch(
-        "batchnorm", x.data, mean, var, gamma.data, beta.data, eps,
-        backend=backend,
-    )
+        "batchnorm", x.data, mean, var, gamma.data, beta.data, eps)
 
     def backward(g):
         gr = gamma.data.reshape(shape)

@@ -162,7 +162,7 @@ register_kernel("unpool", "reference", kind="unpooling",
 # ---------------------------------------------------------------------------
 # Autograd ops
 # ---------------------------------------------------------------------------
-def max_pool_nd(x, kernel=2, stride=None, padding=0, backend=None) -> Tensor:
+def max_pool_nd(x, kernel=2, stride=None, padding=0) -> Tensor:
     """N-d max pooling over an ``(N, C, *spatial)`` tensor.
 
     Padding uses ``-inf`` so padded cells never win the max.
@@ -178,8 +178,7 @@ def max_pool_nd(x, kernel=2, stride=None, padding=0, backend=None) -> Tensor:
     want_indices = is_grad_enabled() and x.requires_grad
     out_data, flat_idx, xp_shape = dispatch(
         "maxpool", x.data, kernel, stride, padding,
-        want_indices=want_indices, backend=backend,
-    )
+        want_indices=want_indices)
     sp_shape = xp_shape[2:]
 
     def backward(g):
@@ -202,7 +201,7 @@ def max_pool_nd(x, kernel=2, stride=None, padding=0, backend=None) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def avg_pool_nd(x, kernel=2, stride=None, padding=0, backend=None) -> Tensor:
+def avg_pool_nd(x, kernel=2, stride=None, padding=0) -> Tensor:
     """N-d average pooling (count includes padding, like PyTorch default)."""
     x = as_tensor(x)
     nd = x.data.ndim - 2
@@ -210,7 +209,7 @@ def avg_pool_nd(x, kernel=2, stride=None, padding=0, backend=None) -> Tensor:
     stride_t = _tuplify(stride if stride is not None else kernel, nd)
     padding_t = _tuplify(padding, nd)
     count = float(np.prod(kernel_t))
-    out_data = dispatch("avgpool", x.data, kernel, stride, padding, backend=backend)
+    out_data = dispatch("avgpool", x.data, kernel, stride, padding)
     out_spatial = out_data.shape[2:]
     xp_shape = x.data.shape[:2] + tuple(
         x.data.shape[2 + i] + 2 * padding_t[i] for i in range(nd)
@@ -241,7 +240,7 @@ def global_avg_pool(x) -> Tensor:
     return x.mean(axis=axes)
 
 
-def upsample_bilinear(x, scale: int = 2, backend=None) -> Tensor:
+def upsample_bilinear(x, scale: int = 2) -> Tensor:
     """Scale the trailing spatial axes by ``scale`` with separable
     linear interpolation (bilinear in 2D, trilinear in 3D).
 
@@ -250,7 +249,7 @@ def upsample_bilinear(x, scale: int = 2, backend=None) -> Tensor:
     x = as_tensor(x)
     nd = x.data.ndim - 2
     in_spatial = x.data.shape[2:]
-    out = dispatch("unpool", x.data, scale, backend=backend)
+    out = dispatch("unpool", x.data, scale)
 
     def backward(g):
         gx = g

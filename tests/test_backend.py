@@ -23,6 +23,7 @@ from repro.backend.counters import OpCounts, unpool_counts_nd
 from repro.backend.registry import (
     REGISTRY,
     dispatch,
+    get_backend,
     known_backends,
     known_ops,
     set_default_backend,
@@ -369,6 +370,30 @@ class TestModuleBackend:
         assert fw.enhancement.model.backend == "fast"
         assert fw.classification.model.backend == "fast"
 
+    def test_call_scopes_forward_and_backward_keeps_it(self, rng, monkeypatch):
+        # ``F.*`` in a forward runs on the module's backend, the thread's
+        # backend is restored on return, and ``loss.backward()`` (outside
+        # every module scope) dispatches on the backend its forward ran on.
+        from repro.tensor import functional as F
+
+        class Net(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.w = nn.Parameter(rng.normal(size=(2, 1, 3, 3)))
+
+            def forward(self, x):
+                return F.leaky_relu(F.conv2d(x, self.w, padding=1))
+
+        seen = _record_dispatches(monkeypatch)
+        net = Net().to_backend("fast")
+        with use_backend("reference"):
+            out = net(Tensor(rng.normal(size=(1, 1, 6, 6)), requires_grad=True))
+            assert get_backend() == "reference"
+        out.sum().backward()
+        assert [(op, b) for op, b, _ in seen] == [
+            ("conv", "fast"), ("leaky_relu", "fast"),
+            ("deconv", "fast"), ("conv_weight_grad", "fast")]
+
 
 class TestCounters3d:
     def test_unpool_3d_per_output_costs(self):
@@ -581,6 +606,17 @@ class TestCalibratedPerfModel:
 
 
 class TestKernelLint:
+    def test_backend_keyword_rejected(self):
+        # Model and layer code leaves backend selection to Module.__call__.
+        from repro.backend.lint import lint_source
+
+        bad = ("from repro.tensor import functional as F\n"
+               "def forward(self, x):\n"
+               "    return F.conv3d(x, self.w, backend=self.backend)\n")
+        violations = lint_source(bad, "repro/models/m.py")
+        assert len(violations) == 1 and "`backend=`" in str(violations[0])
+        assert lint_source("y = net.to_backend('fast')\n") == []
+
     def test_violation_waiver_and_allowlist(self):
         from repro.backend.lint import lint_source
 
@@ -663,6 +699,26 @@ class TestKernelBench:
             assert set(cal.coefficients) == set(OP_UNITS)
 
 
+def _record_dispatches(monkeypatch):
+    """Record ``(op, backend, float dtypes of its arrays)`` per dispatch."""
+    seen = []
+    resolve = REGISTRY.resolve
+
+    def recording_resolve(op, backend):
+        spec, fn = resolve(op, backend)
+
+        def run(*args, **kwargs):
+            arrays = [a for a in (*args, *kwargs.values())
+                      if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
+            seen.append((op, backend, {a.dtype for a in arrays}))
+            return fn(*args, **kwargs)
+
+        return spec, run
+
+    monkeypatch.setattr(REGISTRY, "resolve", recording_resolve)
+    return seen
+
+
 class _SiteSink:
     """Dispatch sink that keeps only the site of every dispatch."""
 
@@ -720,3 +776,37 @@ class TestEveryOpHasACaller:
             with no_grad():
                 tiny_ddnet(global_shortcuts=False)(Tensor(pairs[:1]))
         assert sink.sites == set(known_ops())
+
+    def test_fast_float32_diagnosis_runs_every_op_on_fast_at_float32(
+            self, rng, monkeypatch):
+        # A layer whose op drops its module's backend, or a stage input
+        # built at float64, shows up here as a dispatch that resolves off
+        # ``fast`` or receives a float64 array.
+        from repro.data.phantom3d import chest_volume
+        from repro.models.ahnet import AHNet3D
+        from repro.models.ddnet import DDnet
+        from repro.models.densenet3d import DenseNet3D
+        from repro.pipeline import (
+            ClassificationAI,
+            ComputeCovid19Plus,
+            EnhancementAI,
+            SegmentationAI,
+        )
+
+        framework = ComputeCovid19Plus(
+            enhancement=EnhancementAI(model=DDnet(
+                base_channels=2, growth=2, num_blocks=2, layers_per_block=1,
+                rng=rng)),
+            segmentation=SegmentationAI("ahnet", AHNet3D(base=2, rng=rng)),
+            classification=ClassificationAI(DenseNet3D(
+                block_layers=(1, 1, 1, 1), growth=2, init_features=2,
+                rng=rng)),
+            backend="fast",
+        )
+        scan = chest_volume(16, 16, covid=True, rng=rng)
+        seen = _record_dispatches(monkeypatch)
+        framework.diagnose(scan)
+        assert {op for op, _, _ in seen} >= {"conv", "leaky_relu", "batchnorm"}
+        assert [(op, b) for op, b, _ in seen if b != "fast"] == []
+        assert [op for op, _, dtypes in seen
+                if dtypes != {np.dtype(np.float32)}] == []

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.backend.precision import allclose_ulp
 from repro.dag import (
     ArtifactCache,
     DagContext,
@@ -475,5 +476,6 @@ class TestDagParity:
             dag = results["dag"][rid]
             assert mono is not None and dag is not None
             assert mono.prediction == dag.prediction
-            assert dag.probability == pytest.approx(mono.probability,
-                                                    abs=1e-9)
+            # Batch composition moves the last float32 ulps: the ulp tier.
+            assert allclose_ulp(np.array([mono.probability]),
+                                np.array([dag.probability]))

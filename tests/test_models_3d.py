@@ -66,17 +66,56 @@ class TestAHNet3D:
         assert out.shape == (1, 1, 8, 8, 8)
 
     def test_anisotropic_kernel_structure(self):
-        """In-plane weights must be zero off the central depth slice."""
+        """Kernels have their true (1, k, k) / (k, 1, 1) shapes, holding
+        the Kaiming draws in the order the generator produced them."""
+        from repro.nn import init
+
         net = AHNet3D(base=2, depth=1, rng=np.random.default_rng(0))
-        w = net.enc[0].w_inplane.data  # (out, in, k, k, k)
-        k = w.shape[2]
-        off = [d for d in range(k) if d != k // 2]
-        assert np.all(w[:, :, off] == 0.0)
-        wt = net.enc[0].w_through.data
-        center = k // 2
-        mask = np.ones_like(wt, dtype=bool)
-        mask[:, :, :, center, center] = False
-        assert np.all(wt[mask] == 0.0)
+        conv = net.enc[0]
+        assert conv.w_inplane.data.shape == (2, 1, 1, 3, 3)
+        assert conv.w_through.data.shape == (2, 2, 3, 1, 1)
+        draws = np.random.default_rng(0)
+        np.testing.assert_array_equal(
+            conv.w_inplane.data[:, :, 0], init.kaiming_normal((2, 1, 3, 3), rng=draws))
+        np.testing.assert_array_equal(
+            conv.w_through.data[:, :, :, 0, 0], init.kaiming_normal((2, 2, 3), rng=draws))
+        # A checkpoint with the old zero-padded cubic kernels is refused.
+        cubic = net.state_dict()
+        cubic["enc.0.w_inplane"] = np.zeros((2, 1, 3, 3, 3))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            net.load_state_dict(cubic)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_true_shape_forward_matches_zero_padded_cubes(self, rng, dtype, monkeypatch):
+        """Same weights, embedded in zero-padded k×k×k cubes and run
+        through ``F.conv3d``: the output agrees within the ulp tier."""
+        from repro.backend.precision import allclose_ulp
+        from repro.models.ahnet import _AnisotropicConv
+        from repro.tensor import functional as F
+
+        net = AHNet3D(base=2, depth=2, rng=rng).to_dtype(dtype).eval()
+        x = Tensor(rng.normal(size=(1, 1, 8, 8, 8)), dtype=dtype)
+        with no_grad():
+            true_shape = net(x).data
+
+        def cubic_forward(self, h):
+            k, c = self.k, self.k // 2
+            w_in = np.zeros(self.w_inplane.shape[:2] + (k, k, k), dtype=dtype)
+            w_in[:, :, c] = self.w_inplane.data[:, :, 0]
+            w_tp = np.zeros(self.w_through.shape[:2] + (k, k, k), dtype=dtype)
+            w_tp[:, :, :, c, c] = self.w_through.data[:, :, :, 0, 0]
+            h = F.conv3d(h, Tensor(w_in, dtype=dtype), padding=c)
+            h = F.conv3d(h, Tensor(w_tp, dtype=dtype), padding=c)
+            return F.leaky_relu(self.bn(h))
+
+        monkeypatch.setattr(_AnisotropicConv, "forward", cubic_forward)
+        with no_grad():
+            cubic = net(x).data
+        assert allclose_ulp(cubic, true_shape)
+
+    def test_num_parameters_counts_true_kernels(self):
+        # The zero-padded cubic kernels held 20,053 parameters.
+        assert AHNet3D(rng=np.random.default_rng(0)).num_parameters() == 9037
 
     def test_predict_mask_binary(self, rng):
         net = AHNet3D(base=2, depth=1, rng=rng)
