@@ -322,8 +322,9 @@ class CalibratedPerfModel(PerfModel):
         """Microbenchmark this host and build the calibrated model."""
         return cls(calibrate_host(**calibrate_kwargs), anchor=anchor)
 
-    def predict(self, device, config=None, schedule=None) -> PlatformPrediction:
-        p = super().predict(device, config, schedule)
+    def predict(self, device, config=None, schedule=None,
+                totals=None) -> PlatformPrediction:
+        p = super().predict(device, config, schedule, totals)
         return PlatformPrediction(
             p.device, p.config,
             p.convolution_s * self.corrections["convolution"],

@@ -33,9 +33,12 @@ overhead factor (kernel dispatch, no fusion), calibrated from Table 4.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional
 
+from repro.backend.counters import OpCounts
 from repro.hetero.device import DEVICES, DeviceSpec
 from repro.hetero.optimizations import OptimizationConfig
 from repro.hetero.schedule import KernelInvocation, ddnet_kernel_schedule, schedule_totals
@@ -76,6 +79,20 @@ PAPER_TABLE4: Dict[str, Dict[str, Optional[float]]] = {
 FPGA_VECTORIZE_GAIN = 5.0
 FPGA_CU_DEDICATED_GAIN = 4.85  # CU×2 ≈ 2.0, dedicated-kernel pipeline ≈ 2.4
 FPGA_RECONFIG_OVERHEAD_S = 0.09
+
+
+@functools.lru_cache(maxsize=256)
+def ddnet_totals(input_size: int, batch: int) -> Mapping[str, OpCounts]:
+    """``schedule_totals`` of the default DDnet at one shape, built once.
+
+    Serving prices every (device, stage, batch size) it meets, and each
+    price needs these totals; the schedule behind them is the same for
+    every device, so it is enumerated once per shape per process.  The
+    mapping is read-only (and :class:`OpCounts` frozen) because every
+    caller shares it.
+    """
+    return MappingProxyType(schedule_totals(
+        ddnet_kernel_schedule(input_size=input_size, batch=batch)))
 
 
 @dataclass
@@ -172,11 +189,20 @@ class PerfModel:
         device: DeviceSpec,
         config: Optional[OptimizationConfig] = None,
         schedule: Optional[List[KernelInvocation]] = None,
+        totals: Optional[Mapping[str, OpCounts]] = None,
     ) -> PlatformPrediction:
-        """Predict kernel-group times for a configuration and workload."""
+        """Predict kernel-group times for a configuration and workload.
+
+        The workload is ``totals`` (a :func:`schedule_totals` mapping)
+        or ``schedule`` (at most one of them), else the reference
+        schedule.
+        """
         config = config or OptimizationConfig.ref_pf_lu()
         cal = self.calibration[device.name]
-        totals = self.totals if schedule is None else schedule_totals(schedule)
+        if totals is None:
+            totals = self.totals if schedule is None else schedule_totals(schedule)
+        elif schedule is not None:
+            raise ValueError("pass either schedule or totals, not both")
         conv = totals["convolution"].flops / (device.peak_flops * cal.conv_eff)
         deconv = totals["deconvolution"].flops / (device.peak_flops * cal.deconv_eff)
         other = totals["other"].bytes_moved / (device.peak_bandwidth * cal.other_eff)
@@ -228,13 +254,14 @@ class PerfModel:
         argument (the paper's reference chunk is 512×512×32, i.e.
         ``batch=1``).  Times derive mechanically from the schedule, so
         ``batch=1`` at the reference shape reproduces the Table 5
-        calibration exactly.
+        calibration exactly.  The schedule totals are shared per shape
+        (:func:`ddnet_totals`); the times still go through
+        :meth:`predict`, so a subclass's corrections apply.
         """
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        schedule = ddnet_kernel_schedule(
-            input_size=input_size, batch=batch * slices_per_scan)
-        return self.predict(device, config, schedule)
+        return self.predict(device, config,
+                            totals=ddnet_totals(input_size, batch * slices_per_scan))
 
     def predict_pytorch(self, device: DeviceSpec) -> Optional[float]:
         """Table 4 PyTorch column (None where PyTorch is unsupported)."""

@@ -47,8 +47,13 @@ class Classifier2D(nn.Module):
         self.gap = nn.GlobalAvgPool()
         self.fc = nn.Linear(ch, 1, rng=rng)
 
+    @nn.backend_scoped
     def features(self, x: Tensor) -> Tensor:
-        """Pooled feature vectors (N, C) — the contrastive-learning trunk."""
+        """Pooled feature vectors (N, C) — the contrastive-learning trunk.
+
+        An entry point of its own (``MoCoLite`` embeds through it), so
+        it carries the module's backend scope like ``forward``.
+        """
         h = F.leaky_relu(self.stem_bn(self.stem(x)))
         h = F.max_pool_nd(h, 2, 2)
         for block, tr in zip(self.blocks, self.transitions):

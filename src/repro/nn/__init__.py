@@ -8,7 +8,7 @@ optimizer, exponential learning-rate decay, data loaders with
 distributed sampling, and the §3.3.1 augmentation transforms.
 """
 
-from repro.nn.module import Module, Parameter, Sequential, ModuleList
+from repro.nn.module import Module, Parameter, Sequential, ModuleList, backend_scoped
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm1d,
@@ -41,7 +41,7 @@ from repro.nn import init
 from repro.nn import augment
 
 __all__ = [
-    "Module", "Parameter", "Sequential", "ModuleList",
+    "Module", "Parameter", "Sequential", "ModuleList", "backend_scoped",
     "Conv2d", "ConvTranspose2d", "Linear", "BatchNorm1d", "BatchNorm2d",
     "MaxPool2d", "AvgPool2d", "UpsampleBilinear2d", "LeakyReLU", "ReLU",
     "Sigmoid", "Dropout", "Identity",

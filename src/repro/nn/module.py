@@ -8,6 +8,7 @@ train/eval mode switching, and state-dict save/load.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -23,6 +24,37 @@ def _clear_kernel_caches() -> None:
     from repro.backend.registry import clear_kernel_caches
 
     clear_kernel_caches()
+
+
+def _in_backend_scope(module, fn, /, *args, **kwargs):
+    # The module's backend scopes every dispatch of ``fn``, including
+    # ``F.*`` calls in model code; a module without one inherits the
+    # caller's.  ``to_backend`` validated the name.
+    backend = module.__dict__.get("_backend")
+    if backend is None:
+        return fn(*args, **kwargs)
+    previous = getattr(_dispatch_state, "backend", None)
+    _dispatch_state.backend = backend
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        _dispatch_state.backend = previous
+
+
+def backend_scoped(method):
+    """Give a module method other than ``forward`` the module's backend.
+
+    Calling a module scopes its ``forward`` to the module's backend;
+    a second entry point (say ``features``) called directly would run
+    on the caller's.  Decorating it applies the same scope as
+    :meth:`Module.__call__`.
+    """
+
+    @functools.wraps(method)
+    def scoped(self, *args, **kwargs):
+        return _in_backend_scope(self, method, self, *args, **kwargs)
+
+    return scoped
 
 
 class Parameter(Tensor):
@@ -72,18 +104,7 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        # The module's backend scopes every dispatch of its forward,
-        # including ``F.*`` calls in model code; a module without one
-        # inherits the caller's.  ``to_backend`` validated the name.
-        backend = self.__dict__.get("_backend")
-        if backend is None:
-            return self.forward(*args, **kwargs)
-        previous = getattr(_dispatch_state, "backend", None)
-        _dispatch_state.backend = backend
-        try:
-            return self.forward(*args, **kwargs)
-        finally:
-            _dispatch_state.backend = previous
+        return _in_backend_scope(self, self.forward, *args, **kwargs)
 
     # -- traversal ------------------------------------------------------
     def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:

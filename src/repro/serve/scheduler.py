@@ -124,16 +124,19 @@ class ServiceTimeModel:
         times on the same device — the monolithic-serving baseline the
         DAG benchmark compares against.
         """
+        key = (device.name, stage, batch_size)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        # Only valid keys enter the cache, so a hit needs no validation.
         if stage not in STAGES and stage not in (QUANTIFY_STAGE,
                                                  MONOLITHIC_STAGE):
             raise ValueError(f"unknown stage {stage!r}; have "
                              f"{STAGES + (QUANTIFY_STAGE, MONOLITHIC_STAGE)}")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        key = (device.name, stage, batch_size)
-        if key not in self._cache:
-            self._cache[key] = self._compute(device, stage, batch_size)
-        return self._cache[key]
+        cached = self._cache[key] = self._compute(device, stage, batch_size)
+        return cached
 
     @staticmethod
     def _base(device: DeviceSpec) -> DeviceSpec:
@@ -345,15 +348,23 @@ class FleetScheduler:
         # to, a 17 s FPGA batch is not.  Pure greedy-ETA would serialize
         # everything onto the single fastest device; pure free-only
         # ETA would feed the FPGA whenever the GPUs are briefly busy.
-        def delay(w: DeviceWorker) -> float:
+        # One pass prices each eligible worker once; names are unique,
+        # so ``(delay, name)`` picks one free candidate on a delay tie.
+        size = len(batch)
+        best = float("inf")
+        cand = cand_key = None
+        for w in eligible:
             d = max(0.0, w.free_at - now) + self.service_model.batch_time(
-                w.spec, batch.stage, len(batch))
+                w.spec, batch.stage, size)
             if self.extra_delay is not None:
                 d += self.extra_delay(w, batch)
-            return d
-        best = min(eligible, key=lambda w: (delay(w), w.spec.name))
-        cand = min(free, key=lambda w: (delay(w), w.spec.name))
-        return cand if delay(cand) <= self.lookahead * delay(best) else None
+            if d < best:
+                best = d
+            if w.available:
+                key = (d, w.spec.name)
+                if cand is None or key < cand_key:
+                    cand, cand_key = w, key
+        return cand if cand_key[0] <= self.lookahead * best else None
 
     def dispatch(self, worker: DeviceWorker, batch: Batch, now: float,
                  service_s: Optional[float] = None) -> float:

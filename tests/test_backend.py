@@ -605,6 +605,66 @@ class TestCalibratedPerfModel:
         assert stm.perf_model.kernel_calibration.backend == "fast"
 
 
+class TestSharedScheduleTotals:
+    """``predict_batch`` reads per-shape schedule totals built once per
+    process; it must still agree bit for bit with pricing the schedule
+    through ``predict``, and no caller can change what it shares."""
+
+    @pytest.fixture(params=["analytic", "calibrated"])
+    def model(self, request):
+        from repro.hetero import PerfModel
+
+        if request.param == "analytic":
+            return PerfModel()
+        cal_model = CalibratedPerfModel(_synthetic_calibration())
+        cal_model.corrections = {"convolution": 1.5, "deconvolution": 5.0,
+                                 "other": 0.75}
+        return cal_model
+
+    def test_predict_batch_matches_predict_on_the_schedule(self, model):
+        from repro.hetero import DEVICES
+        from repro.hetero.optimizations import OptimizationConfig
+        from repro.hetero.schedule import ddnet_kernel_schedule
+
+        slices = 4
+        for device in DEVICES.values():
+            cfg = (OptimizationConfig.fpga_full()
+                   if device.device_type == "fpga" else None)
+            for input_size in (64, 512):
+                for b in (1, 3, 8):
+                    got = model.predict_batch(device, b, cfg, input_size, slices)
+                    want = model.predict(device, cfg, ddnet_kernel_schedule(
+                        input_size=input_size, batch=b * slices))
+                    assert got == want, (device.name, input_size, b)
+
+    def test_schedule_and_totals_are_exclusive(self, model):
+        from repro.hetero import NVIDIA_T4
+        from repro.hetero.perfmodel import ddnet_totals
+        from repro.hetero.schedule import ddnet_kernel_schedule
+
+        with pytest.raises(ValueError, match="not both"):
+            model.predict(NVIDIA_T4, schedule=ddnet_kernel_schedule(64, 1),
+                          totals=ddnet_totals(64, 1))
+
+    def test_callers_cannot_change_the_next_prediction(self, model):
+        from dataclasses import FrozenInstanceError
+
+        from repro.hetero import NVIDIA_T4
+        from repro.hetero.perfmodel import ddnet_totals
+
+        first = model.predict_batch(NVIDIA_T4, 2, input_size=64)
+        want = (first.convolution_s, first.deconvolution_s, first.other_s)
+        first.convolution_s = first.deconvolution_s = first.other_s = 0.0
+        totals = ddnet_totals(64, 64)
+        with pytest.raises(TypeError):
+            totals["convolution"] = OpCounts()
+        with pytest.raises(FrozenInstanceError):
+            totals["convolution"].flops = 0
+        again = model.predict_batch(NVIDIA_T4, 2, input_size=64)
+        assert (again.convolution_s, again.deconvolution_s,
+                again.other_s) == want
+
+
 class TestKernelLint:
     def test_backend_keyword_rejected(self):
         # Model and layer code leaves backend selection to Module.__call__.
@@ -810,3 +870,18 @@ class TestEveryOpHasACaller:
         assert [(op, b) for op, b, _ in seen if b != "fast"] == []
         assert [op for op, _, dtypes in seen
                 if dtypes != {np.dtype(np.float32)}] == []
+
+    def test_moco_embed_runs_every_op_on_the_encoder_backend(
+            self, rng, monkeypatch):
+        # ``Classifier2D.features`` is an entry point besides ``forward``:
+        # MoCo embeds through it, so the encoder's own pooling and
+        # activation calls must resolve on the encoder's backend too.
+        from repro.models import Classifier2D
+        from repro.models.moco import MoCoLite
+
+        moco = MoCoLite(encoder=Classifier2D(base=4, growth=4, rng=rng))
+        moco.encoder_q.to_backend("fast")
+        seen = _record_dispatches(monkeypatch)
+        moco.embed(rng.uniform(0.0, 1.0, (2, 1, 16, 16)))
+        assert {op for op, _, _ in seen} >= {"conv", "maxpool", "leaky_relu"}
+        assert [(op, b) for op, b, _ in seen if b != "fast"] == []

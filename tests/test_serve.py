@@ -1,13 +1,22 @@
 """Tests for the ``repro.serve`` inference-serving subsystem."""
 
+import hashlib
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend.precision import allclose_ulp
 from repro.hetero import DEVICES, NVIDIA_T4, NVIDIA_V100, PerfModel
 from repro.serve import (
     CACHE_HIT_LATENCY_S,
+    MONOLITHIC_STAGE,
+    QUANTIFY_STAGE,
     SLO,
+    STAGES,
     AdmissionQueue,
     Batch,
     BatchPolicy,
@@ -300,6 +309,128 @@ class TestFleetScheduler:
             FleetScheduler([NVIDIA_V100], "random", service_model)
         with pytest.raises(ValueError):
             FleetScheduler([], "round-robin", service_model)
+
+
+def _three_min_pick(sched, batch, now, exclude):
+    """Perf-aware placement as three ``min`` passes: the reference the
+    one-pass :meth:`FleetScheduler.pick` must agree with."""
+    exclude = exclude or set()
+    eligible = [w for w in sched.workers if w.spec.name not in exclude]
+    free = [w for w in eligible if w.available]
+    if not free:
+        return None
+
+    def delay(w):
+        d = max(0.0, w.free_at - now) + sched.service_model.batch_time(
+            w.spec, batch.stage, len(batch))
+        if sched.extra_delay is not None:
+            d += sched.extra_delay(w, batch)
+        return d
+    best = min(eligible, key=lambda w: (delay(w), w.spec.name))
+    cand = min(free, key=lambda w: (delay(w), w.spec.name))
+    return cand if delay(cand) <= sched.lookahead * delay(best) else None
+
+
+@st.composite
+def _placements(draw):
+    """A perf-aware scheduler mid-run, a batch, ``now`` and an exclude set.
+
+    Devices repeat as regional clones (``<base> @rK``, priced as their
+    base) and ``free_at`` comes from a few offsets around ``now``, so
+    equal delays are common and only the name can decide them.
+    """
+    now = draw(st.sampled_from([0.0, 3.0]))
+    n = draw(st.integers(2, 6))
+    bases = draw(st.lists(st.sampled_from(sorted(DEVICES)),
+                          min_size=n, max_size=n))
+    regions = draw(st.permutations(range(n)))
+    fleet = [replace(DEVICES[b], name=f"{b} @r{k}")
+             for b, k in zip(bases, regions)]
+    penalties = draw(st.one_of(st.none(), st.lists(
+        st.sampled_from([0.0, 0.0, 0.02, 0.4, 6.0]), min_size=n, max_size=n)))
+    extra_delay = None
+    if penalties is not None:
+        # DAG-style hook: a per-device swap penalty plus a per-scan term.
+        by_name = {d.name: p for d, p in zip(fleet, penalties)}
+
+        def extra_delay(worker, batch):
+            extra_delay.calls.append(worker.spec.name)
+            return by_name[worker.spec.name] + 0.001 * len(batch)
+        extra_delay.calls = []
+    lookahead = draw(st.sampled_from([1.0, 2.0, 3.5]))
+    workers = []
+    for _ in fleet:
+        slots = draw(st.integers(1, 2))
+        workers.append(dict(
+            slots=slots, in_flight=draw(st.integers(0, slots)),
+            free_at=now + draw(st.sampled_from([-1.0, 0.0, 0.05, 0.5, 20.0]))))
+    names = [d.name for d in fleet]
+    exclude = draw(st.one_of(st.none(), st.sets(st.sampled_from(names))))
+    stage = draw(st.sampled_from(STAGES + (QUANTIFY_STAGE, MONOLITHIC_STAGE)))
+    size = draw(st.integers(1, 8))
+    return fleet, workers, extra_delay, lookahead, exclude, stage, size, now
+
+
+class TestOnePassPick:
+    @settings(max_examples=200)
+    @given(case=_placements())
+    def test_matches_three_min_placement(self, case):
+        fleet, workers, extra_delay, lookahead, exclude, stage, size, now = case
+        sched = FleetScheduler(fleet, "perf-aware",
+                               ServiceTimeModel(PerfModel()),
+                               lookahead=lookahead, extra_delay=extra_delay)
+        for w, state in zip(sched.workers, workers):
+            w.slots, w.in_flight, w.free_at = (
+                state["slots"], state["in_flight"], state["free_at"])
+        batch = Batch(0, stage, [req(i) for i in range(size)], now)
+        want = _three_min_pick(sched, batch, now, exclude)
+        if extra_delay is not None:
+            extra_delay.calls.clear()
+        got = sched.pick(batch, now, exclude=exclude)
+        assert got is want
+        if extra_delay is not None:
+            # One completion estimate per eligible worker, none when
+            # no eligible worker has a free slot.
+            eligible = [w for w in sched.workers
+                        if w.spec.name not in (exclude or set())]
+            priced = [w.spec.name for w in eligible] \
+                if any(w.available for w in eligible) else []
+            assert extra_delay.calls == priced
+
+
+class TestEventStreamPinned:
+    """Both serving modes replay a seeded mixed run event for event.
+
+    Any change to scheduling, batching, faults or DAG placement (where
+    the ``extra_delay`` hook runs) shows up as a different stream; only
+    a change meant to move serving behaviour may re-record a digest.
+    """
+
+    DIGESTS = {
+        "staged": "e3642eb606f2fd4b99afa73b26daedb146b856f1ad9723a8a36eefb618d5ee5c",
+        "dag": "a9c0ec5315709690cb087deeaf254f1507ed000aa9f33660a39f04d876f9ab09",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(DIGESTS))
+    def test_seeded_mixed_run_event_stream(self, mode):
+        from repro.resilience import FaultConfig, ResilienceConfig, RetryPolicy
+
+        # Past the mixed fleet's capacity, so sheds, retries and
+        # lookahead refusals all appear in the stream.
+        reqs = make_workload(300, rate_per_s=25.0, seed=7,
+                             monitor_fraction=0.3, quantify_fraction=0.1 / 0.7,
+                             dup_fraction=0.3 / 0.6)
+        engine = ServingEngine(
+            mode=mode, workloads=("diagnosis", "monitoring", "quantify"),
+            resilience=ResilienceConfig(faults=FaultConfig(seed=7),
+                                        retry=RetryPolicy()))
+        report = engine.run(reqs)
+        assert report.shed and any(e.kind == "retry" for e in report.events)
+        h = hashlib.sha256()
+        for e in report.events:
+            h.update(json.dumps([e.t, e.kind, e.source, e.payload],
+                                sort_keys=True).encode() + b"\n")
+        assert h.hexdigest() == self.DIGESTS[mode]
 
 
 # ---------------------------------------------------------------------------
