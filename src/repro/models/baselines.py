@@ -27,6 +27,7 @@ class Classifier2D(nn.Module):
     def __init__(self, in_channels: int = 1, base: int = 8, growth: int = 8,
                  num_blocks: int = 2, rng=None):
         super().__init__()
+        rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.num_blocks = num_blocks
         self.base = base

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro import nn
 from repro.models.dense_block import DenseBlock
 from repro.tensor import functional as F
@@ -36,7 +38,7 @@ from repro.tensor.tensor import Tensor
 class _ConvBNAct(nn.Module):
     """conv → BN → LeakyReLU."""
 
-    def __init__(self, in_ch, out_ch, k, init_std, rng=None, stride=1):
+    def __init__(self, in_ch, out_ch, k, init_std, rng, stride=1):
         super().__init__()
         self.conv = nn.Conv2d(in_ch, out_ch, k, stride=stride, padding=k // 2,
                               bias=False, init_std=init_std, rng=rng)
@@ -49,7 +51,7 @@ class _ConvBNAct(nn.Module):
 class _DeconvBNAct(nn.Module):
     """deconv → BN → LeakyReLU."""
 
-    def __init__(self, in_ch, out_ch, k, init_std, rng=None):
+    def __init__(self, in_ch, out_ch, k, init_std, rng):
         super().__init__()
         self.deconv = nn.ConvTranspose2d(in_ch, out_ch, k, stride=1, padding=k // 2,
                                          bias=False, init_std=init_std, rng=rng)
@@ -118,6 +120,7 @@ class DDnet(nn.Module):
         rng=None,
     ):
         super().__init__()
+        rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.base_channels = base_channels
         self.growth = growth

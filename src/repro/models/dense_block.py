@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro import nn
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
@@ -27,7 +29,7 @@ class _DenseLayer(nn.Module):
         kernel_size: int,
         bottleneck_factor: int,
         init_std: Optional[float],
-        rng=None,
+        rng,
         conv_cls=nn.Conv2d,
         bn_cls=nn.BatchNorm2d,
     ):
@@ -67,6 +69,7 @@ class DenseBlock(nn.Module):
         rng=None,
     ):
         super().__init__()
+        rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.growth = growth
         self.num_layers = num_layers

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro import nn
 from repro.models.dense_block import DenseBlock3D
 from repro.tensor import functional as F
@@ -49,6 +51,7 @@ class DenseNet3D(nn.Module):
         rng=None,
     ):
         super().__init__()
+        rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.block_layers = tuple(block_layers)
         self.stem = nn.Conv3d(in_channels, init_features, 3, stride=1, padding=1,

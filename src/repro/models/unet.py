@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro import nn
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
@@ -18,7 +20,7 @@ from repro.tensor.tensor import Tensor
 class _DoubleConv(nn.Module):
     """[conv → BN → LReLU] × 2, the standard U-Net stage."""
 
-    def __init__(self, in_ch: int, out_ch: int, rng=None):
+    def __init__(self, in_ch: int, out_ch: int, rng):
         super().__init__()
         self.c1 = nn.Conv2d(in_ch, out_ch, 3, padding=1, bias=False, init_std=None, rng=rng)
         self.b1 = nn.BatchNorm2d(out_ch)
@@ -48,6 +50,7 @@ class UNet2D(nn.Module):
         rng=None,
     ):
         super().__init__()
+        rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.depth = depth
         self.residual = residual

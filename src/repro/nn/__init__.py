@@ -28,7 +28,6 @@ from repro.nn.layers3d import (
     AvgPool3d,
     BatchNorm3d,
     Conv3d,
-    ConvTranspose3d,
     GlobalAvgPool,
     MaxPool3d,
     UpsampleTrilinear3d,
@@ -45,7 +44,7 @@ __all__ = [
     "Conv2d", "ConvTranspose2d", "Linear", "BatchNorm1d", "BatchNorm2d",
     "MaxPool2d", "AvgPool2d", "UpsampleBilinear2d", "LeakyReLU", "ReLU",
     "Sigmoid", "Dropout", "Identity",
-    "Conv3d", "ConvTranspose3d", "BatchNorm3d", "MaxPool3d", "AvgPool3d",
+    "Conv3d", "BatchNorm3d", "MaxPool3d", "AvgPool3d",
     "GlobalAvgPool", "UpsampleTrilinear3d",
     "MSELoss", "L1Loss", "BCELoss", "BCEWithLogitsLoss", "MSSSIMLoss",
     "CompositeLoss",

@@ -31,6 +31,7 @@ class Conv2d(Module):
         rng=None,
     ):
         super().__init__()
+        rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -68,6 +69,7 @@ class ConvTranspose2d(Module):
         rng=None,
     ):
         super().__init__()
+        rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -97,6 +99,7 @@ class Linear(Module):
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True, rng=None):
         super().__init__()
+        rng = rng or np.random.default_rng(0)
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init.xavier_uniform((out_features, in_features), rng=rng), name="weight")

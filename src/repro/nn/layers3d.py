@@ -33,6 +33,7 @@ class Conv3d(Module):
         rng=None,
     ):
         super().__init__()
+        rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -51,38 +52,6 @@ class Conv3d(Module):
         return (
             f"Conv3d({self.in_channels}, {self.out_channels}, k={self.kernel_size}, "
             f"s={self.stride}, p={self.padding})"
-        )
-
-
-class ConvTranspose3d(Module):
-    """3D transposed convolution, weights ``(in, out, k, k, k)``."""
-
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel_size: int,
-        stride: int = 1,
-        padding: int = 0,
-        output_padding: int = 0,
-        bias: bool = True,
-        rng=None,
-    ):
-        super().__init__()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        self.output_padding = output_padding
-        shape = (in_channels, out_channels) + (kernel_size,) * 3
-        self.weight = Parameter(init.kaiming_normal(shape, rng=rng), name="weight")
-        self.bias = Parameter(np.zeros(out_channels), name="bias") if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.conv_transpose3d(
-            x, self.weight, self.bias,
-            stride=self.stride, padding=self.padding, output_padding=self.output_padding,
         )
 
 

@@ -53,8 +53,7 @@ class SinogramDenoiser:
     """
 
     def __init__(self, base: int = 4, depth: int = 2, lr: float = 2e-3, rng=None):
-        self.net = UNet2D(base=base, depth=depth, residual=True,
-                          rng=rng or np.random.default_rng(0))
+        self.net = UNet2D(base=base, depth=depth, residual=True, rng=rng)
         self.depth = depth
         self.lr = lr
         self.scale: float = 1.0

@@ -304,12 +304,15 @@ class ComputeCovid19Plus:
     def save(self, path_prefix: str) -> None:
         """Persist the trained stages for deployment.
 
-        Writes ``<prefix>.enhancement.npz``, ``<prefix>.classification.npz``
-        and ``<prefix>.meta.npz`` (threshold + configuration flags).
-        The segmentation back-end is deterministic and needs no weights.
+        Writes ``<prefix>.enhancement.npz``, ``<prefix>.classification.npz``,
+        ``<prefix>.segmentation.npz`` when the segmentation stage is an
+        AH-Net (the threshold back-end has no weights) and
+        ``<prefix>.meta.npz`` (threshold + configuration flags).
         """
         self.enhancement.save(path_prefix + ".enhancement.npz")
         self.classification.save(path_prefix + ".classification.npz")
+        if self.segmentation.ahnet is not None:
+            self.segmentation.ahnet.save(path_prefix + ".segmentation.npz")
         np.savez(path_prefix + ".meta.npz",
                  threshold=self.threshold,
                  use_enhancement=self.use_enhancement,
@@ -324,6 +327,8 @@ class ComputeCovid19Plus:
         dtype = self.classification.model.dtype
         self.enhancement.load(path_prefix + ".enhancement.npz")
         self.classification.load(path_prefix + ".classification.npz")
+        if self.segmentation.ahnet is not None:
+            self.segmentation.ahnet.load(path_prefix + ".segmentation.npz")
         self.to_dtype(dtype)
         with np.load(path_prefix + ".meta.npz") as meta:
             self.threshold = float(meta["threshold"])

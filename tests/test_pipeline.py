@@ -368,6 +368,17 @@ class TestFloat32Inference:
         assert fresh.enhancement.model.dtype == np.float32
         assert fresh.classification.model.dtype == np.float32
 
+    def test_save_load_roundtrip_keeps_the_ahnet(self, tmp_path):
+        prefix = str(tmp_path / "fw")
+        _seeded_framework(1).save(prefix)
+        fresh = _seeded_framework(2)
+        fresh.load(prefix)
+        want = _seeded_framework(1).segmentation.ahnet.state_dict()
+        got = fresh.segmentation.ahnet.state_dict()
+        assert got.keys() == want.keys()
+        for k in want:
+            np.testing.assert_array_equal(got[k], want[k], err_msg=k)
+
     def test_enhancement_training_refuses_float32(self):
         enhancer = _seeded_framework().enhancement
         pairs = np.random.default_rng(0).uniform(0.0, 1.0, (2, 1, 16, 16))
