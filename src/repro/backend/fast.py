@@ -11,24 +11,31 @@ What it does differently:
 - **FFT convolution** — stride-1 convolutions whose kernels have at
   least :data:`FFT_CROSSOVER_ELEMS` taps (the 5×5 DDnet layers, any 3-d
   kernel) are executed as an rfftn-domain pointwise contraction: the
-  valid cross-correlation is the ``k-1``-offset slice of the full
-  linear convolution of the input with the spatially flipped kernel.
-  The channel contraction runs as one complex batched matmul
-  ``(L,N,C)@(L,C,F)`` over the frequency bins, and FFT lengths are
-  rounded up to 5-smooth sizes (:func:`next_fast_len`).  The transforms
-  are ``scipy.fft``'s: unlike ``np.fft``, its float32 transforms run in
-  single precision (complex64), 3.4–3.8× faster than ``np.fft``'s on
-  the DDnet shapes (table in docs/backends.md), and it defaults to one
-  worker thread.
-- **filter-transform LRU cache** — the kernel's frequency-domain image
-  is cached per weight array (identity/shape/dtype/fft-shape keyed,
-  ``no_grad`` only) so repeated inference — and every scan of a
-  serving batch — pays the filter FFT once.  Invalidated through
-  :func:`repro.backend.registry.clear_kernel_caches` like every other
-  weight-derived cache.
+  padded cross-correlation is the slice ``[k-1-p, H+p)`` of the full
+  linear convolution of the *unpadded* input with the spatially flipped
+  kernel.  The FFTs run at the shortest length whose circular wrap
+  misses that slice, ``H+p`` per axis rounded up to a 5-smooth size
+  (:func:`next_fast_len`), and ``rfftn``'s ``s=`` does the zero fill,
+  so no padded copy of the input is made.  The channel contraction
+  runs as one complex batched matmul ``(L,N,C)@(L,C,F)`` over the ``L``
+  frequency bins.
+  The transforms are ``scipy.fft``'s: unlike ``np.fft``, its float32
+  transforms run in single precision (complex64), 3.4–3.8× faster than
+  ``np.fft``'s on the DDnet shapes (table in docs/backends.md), and it
+  defaults to one worker thread.
+- **bin-major filter-transform LRU cache** — the kernel's
+  frequency-domain image is cached per weight array
+  (identity/shape/dtype/fft-shape keyed, ``no_grad`` only) as one
+  C-contiguous ``(L, A, B)`` array, ``A`` the contracted axis, so the
+  contraction reads it as it is stored and repeated inference — and
+  every scan of a serving batch — pays the filter FFT once.
+  Invalidated through :func:`repro.backend.registry.clear_kernel_caches`
+  like every other weight-derived cache.
 - **FFT deconvolution** — the stride-1 transposed convolution is the
-  *full* linear convolution of the gradient with the (unflipped)
-  kernel, contracted over the input-channel axis; same plan cache.
+  slice ``[p, p+H)`` of the full linear convolution of the gradient
+  (spatial ``G``) with the (unflipped) kernel, contracted over the
+  filter axis, at the shortest 5-smooth length ``≥ G+k-1-p``; same
+  cache.
 - **fused unpool + deconvolution** (``unpool_deconv``) — the Fig. 9
   decoder pair feeds the up-sampled map straight into the FFT
   deconvolution (see :mod:`repro.tensor.ops_fused`).
@@ -36,10 +43,10 @@ What it does differently:
 Everything the FFT path does not cover runs the ``reference`` kernels
 directly, so it is bit-identical to ``reference``: the training path
 (``want_cols=True`` needs the im2col buffer for the weight gradient),
-convolutions and deconvolutions below the tap crossover or with a
-stride, and the ops in :data:`FALLBACK_OPS` — the explicit declaration
-the backend lint checks, so an op can never *silently* lack a fast
-path.
+convolutions and deconvolutions below the tap crossover, with a
+stride or with a padding of ``k`` or more, and the ops in
+:data:`FALLBACK_OPS` — the explicit declaration the backend lint
+checks, so an op can never *silently* lack a fast path.
 """
 
 from __future__ import annotations
@@ -54,10 +61,7 @@ import scipy.fft
 from repro.backend.registry import REGISTRY, register_kernel
 from repro.tensor.ops_activation import leaky_relu_forward, relu_forward
 from repro.tensor.ops_conv import (
-    _out_size,
-    _pad_spatial,
     _tuplify,
-    _unpad_spatial,
     conv_nd_forward,
     conv_nd_input_grad,
     conv_nd_weight_grad,
@@ -98,12 +102,19 @@ def next_fast_len(n: int) -> int:
     return best
 
 
-def fft_eligible(kernel: Tuple[int, ...], stride: Tuple[int, ...]) -> bool:
-    """Whether the FFT path handles (and should handle) this conv."""
+def fft_eligible(kernel: Tuple[int, ...], stride: Tuple[int, ...],
+                 padding: Tuple[int, ...]) -> bool:
+    """Whether the FFT path handles (and should handle) this conv.
+
+    A padding of ``k`` or more puts the kept slice's start before the
+    linear convolution's, which the shortest-length rule (see
+    :func:`_fft_correlate`) does not cover; those go to ``reference``.
+    """
     taps = 1
     for k in kernel:
         taps *= int(k)
-    return all(s == 1 for s in stride) and taps >= FFT_CROSSOVER_ELEMS
+    return (all(s == 1 for s in stride) and taps >= FFT_CROSSOVER_ELEMS
+            and all(p < k for p, k in zip(padding, kernel)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +126,13 @@ _fft_lock = threading.Lock()
 
 
 def _filter_fft(w: np.ndarray, fshape: Tuple[int, ...], flip: bool) -> np.ndarray:
-    """Frequency-domain image of ``w`` (optionally spatially flipped).
+    """Bin-major frequency-domain image of ``w``: one C-contiguous
+    ``(L, A, B)`` array over the ``L`` rfftn bins of ``fshape``.
+
+    ``flip`` (correlation) spatially flips the kernel and contracts the
+    input channels: ``(L, C, F)``.  Without it (deconvolution) the
+    filter axis is contracted: ``(L, F, C)``.  Either way one batched
+    matmul consumes it with no per-call transpose.
 
     Cached per weight identity under ``no_grad`` (training mutates
     weights every step, so caching would only churn); invalidated by
@@ -137,6 +154,8 @@ def _filter_fft(w: np.ndarray, fshape: Tuple[int, ...], flip: bool) -> np.ndarra
                 return hit[1]
     wk = w[(slice(None), slice(None)) + (slice(None, None, -1),) * nd] if flip else w
     wf = scipy.fft.rfftn(wk, s=fshape, axes=axes)
+    wf = wf.reshape(w.shape[:2] + (-1,)).transpose((2, 1, 0) if flip else (2, 0, 1))
+    wf = np.ascontiguousarray(wf)
     if cache:
         with _fft_lock:
             _FFT_CACHE[key] = (w, wf)
@@ -161,55 +180,40 @@ REGISTRY.register_cache_clearer(clear_fft_cache)
 # ---------------------------------------------------------------------------
 # FFT convolution / deconvolution
 # ---------------------------------------------------------------------------
-def _freq_contract(af: np.ndarray, bf: np.ndarray, transpose_b: bool) -> np.ndarray:
-    """Per-frequency-bin channel contraction as one batched matmul.
+def _fft_filter(x: np.ndarray, w: np.ndarray, fshape: Tuple[int, ...], flip: bool,
+                keep: Tuple[slice, ...]) -> np.ndarray:
+    """Circular convolution of ``x`` with the filters at length ``fshape``,
+    contracted over ``x``'s channels, cut to the spatial slice ``keep``.
 
-    ``af`` is ``(N, A, *freq)``, ``bf`` is ``(A, B, *freq)`` (or
-    ``(B, A, *freq)`` with ``transpose_b``); returns ``(N, B, *freq)``.
+    ``rfftn``'s ``s=`` zero-fills ``x`` up to ``fshape``; the channel
+    contraction is one complex batched matmul ``(L,N,A)@(L,A,B)`` over
+    the frequency bins against :func:`_filter_fft`'s bin-major spectrum.
     """
-    n, a = af.shape[:2]
-    freq = af.shape[2:]
-    bins = 1
-    for s in freq:
-        bins *= s
-    am = af.reshape(n, a, bins).transpose(2, 0, 1)          # (L, N, A)
-    if transpose_b:
-        bm = bf.reshape(bf.shape[0], a, bins).transpose(2, 1, 0)  # (L, A, B)
-    else:
-        bm = bf.reshape(a, bf.shape[1], bins).transpose(2, 0, 1)  # (L, A, B)
-    ym = np.matmul(am, bm)                                  # (L, N, B)
-    return ym.transpose(1, 2, 0).reshape((n, ym.shape[2]) + freq)
+    n, a = x.shape[:2]
+    axes = tuple(range(2, 2 + len(fshape)))
+    xf = scipy.fft.rfftn(x, s=fshape, axes=axes)
+    freq = xf.shape[2:]
+    ym = np.matmul(xf.reshape(n, a, -1).transpose(2, 0, 1),
+                   _filter_fft(w, fshape, flip))            # (L, N, B)
+    yf = ym.transpose(1, 2, 0).reshape((n, ym.shape[2]) + freq)
+    y = scipy.fft.irfftn(yf, s=fshape, axes=axes)[(slice(None), slice(None)) + keep]
+    return np.ascontiguousarray(y.astype(np.result_type(x.dtype, w.dtype), copy=False))
 
 
-def _fft_correlate(
-    x: np.ndarray, w: np.ndarray, stride: Tuple[int, ...], padding: Tuple[int, ...]
-) -> np.ndarray:
-    """Valid cross-correlation of ``x`` with filters ``w`` via rfftn.
+def _fft_correlate(x: np.ndarray, w: np.ndarray, padding: Tuple[int, ...]) -> np.ndarray:
+    """Stride-1 cross-correlation of ``x`` (padded by ``p``) with ``w``.
 
-    The valid correlation is the ``[k-1 : k-1+out]`` slice of the full
-    linear convolution with the flipped kernel; FFT lengths are padded
-    to 5-smooth sizes, so the circular convolution never wraps into the
-    slice we keep.
+    It is the slice ``[k-1-p, H+p)`` of the full linear convolution of
+    the unpadded ``x`` with the flipped kernel (support ``[0, H+k-1)``).
+    At length ``L ≥ H+p`` the circular wrap adds only indices below
+    ``k-1-p`` to the kept slice's, so ``L`` is the shortest 5-smooth
+    length ``≥ H+p``.  A kernel longer than ``L`` is cut by ``rfftn``,
+    but its taps past ``L`` meet only zeros for every kept index.
     """
-    nd = w.ndim - 2
-    xp = _pad_spatial(x, padding)
-    sp = xp.shape[2:]
-    kernel = w.shape[2:]
-    out_sp = tuple(
-        _out_size(x.shape[2 + i], kernel[i], stride[i], padding[i]) for i in range(nd)
-    )
-    fshape = tuple(next_fast_len(sp[i] + kernel[i] - 1) for i in range(nd))
-    axes = tuple(range(2, 2 + nd))
-    xf = scipy.fft.rfftn(xp, s=fshape, axes=axes)
-    wf = _filter_fft(w, fshape, flip=True)                  # (F, C, *freq)
-    yf = _freq_contract(xf, wf, transpose_b=True)           # (N, F, *freq)
-    y = scipy.fft.irfftn(yf, s=fshape, axes=axes)
-    slicer = (slice(None), slice(None)) + tuple(
-        slice(kernel[i] - 1, kernel[i] - 1 + (out_sp[i] - 1) * stride[i] + 1, stride[i])
-        for i in range(nd)
-    )
-    dtype = np.result_type(x.dtype, w.dtype)
-    return np.ascontiguousarray(y[slicer].astype(dtype, copy=False))
+    kernel, sp = w.shape[2:], x.shape[2:]
+    fshape = tuple(next_fast_len(h + p) for h, p in zip(sp, padding))
+    keep = tuple(slice(k - 1 - p, h + p) for h, p, k in zip(sp, padding, kernel))
+    return _fft_filter(x, w, fshape, True, keep)
 
 
 def conv_nd_forward_fast(
@@ -225,9 +229,9 @@ def conv_nd_forward_fast(
     nd = w.ndim - 2
     stride_t = _tuplify(stride, nd)
     padding_t = _tuplify(padding, nd)
-    if want_cols or not fft_eligible(w.shape[2:], stride_t):
+    if want_cols or not fft_eligible(w.shape[2:], stride_t, padding_t):
         return conv_nd_forward(x, w, bias, stride_t, padding_t, want_cols=want_cols)
-    out = _fft_correlate(x, w, stride_t, padding_t)
+    out = _fft_correlate(x, w, padding_t)
     if bias is not None:
         out += bias.reshape((1, -1) + (1,) * nd).astype(out.dtype, copy=False)
     return out, None, out.shape[2:]
@@ -238,28 +242,26 @@ def conv_nd_input_grad_fast(
 ) -> np.ndarray:
     """FFT deconvolution (stride-1 transposed conv / conv input grad).
 
-    The padded transposed-conv output is exactly the full linear
-    convolution of ``g`` with the *unflipped* kernel, contracted over
-    the filter axis; strided or sub-crossover cases use the reference
-    kernel (its gather or scatter form, whichever the shape selects).
+    The transposed conv of ``g`` (spatial ``G``) is the slice
+    ``[p, p+H)`` of the full linear convolution of ``g`` with the
+    *unflipped* kernel (support ``[0, G+k-1)``), contracted over the
+    filter axis.  At length ``L ≥ G+k-1-p`` the wrap lands only below
+    ``p``, so ``L`` is the shortest 5-smooth length ``≥ G+k-1-p`` (or
+    ``≥ H+p``, if an output padding makes ``H`` longer than ``G+k-1-2p``).
+    Strided, sub-crossover and ``p ≥ k`` cases use the reference kernel
+    (its gather or scatter form, whichever the shape selects).
     """
     nd = w.ndim - 2
     stride_t = _tuplify(stride, nd)
     padding_t = _tuplify(padding, nd)
     kernel = w.shape[2:]
-    if not fft_eligible(kernel, stride_t):
+    if not fft_eligible(kernel, stride_t, padding_t):
         return conv_nd_input_grad(g, w, x_shape, stride_t, padding_t)
-    xp_sp = tuple(x_shape[2 + i] + 2 * padding_t[i] for i in range(nd))
-    fshape = tuple(next_fast_len(s) for s in xp_sp)
-    axes = tuple(range(2, 2 + nd))
-    gf = scipy.fft.rfftn(g, s=fshape, axes=axes)
-    wf = _filter_fft(w, fshape, flip=False)                 # (F, C, *freq)
-    yf = _freq_contract(gf, wf, transpose_b=False)          # (N, C, *freq)
-    y = scipy.fft.irfftn(yf, s=fshape, axes=axes)
-    y = y[(slice(None), slice(None)) + tuple(slice(0, s) for s in xp_sp)]
-    dtype = np.result_type(g.dtype, w.dtype)
-    return np.ascontiguousarray(
-        _unpad_spatial(y, padding_t).astype(dtype, copy=False))
+    sp = x_shape[2:]
+    fshape = tuple(next_fast_len(max(n + k - 1 - p, h + p))
+                   for n, h, p, k in zip(g.shape[2:], sp, padding_t, kernel))
+    keep = tuple(slice(p, p + h) for h, p in zip(sp, padding_t))
+    return _fft_filter(g, w, fshape, False, keep)
 
 
 # ---------------------------------------------------------------------------

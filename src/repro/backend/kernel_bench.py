@@ -38,13 +38,18 @@ SERVING_BATCH = 4
 def _op_workloads(size: int, rng: np.random.Generator,
                   batch: int = SERVING_BATCH,
                   ) -> Dict[str, Tuple[Dict, Callable[[str], object]]]:
-    """Per-op ``(params, run(backend))`` at the given spatial size.
+    """Per-workload ``(params, run(backend))`` at the given spatial size.
 
     Covers every registered op with DDnet-shaped 2D workloads: the conv
     family uses the paper's 5×5 stride-1 kernels at a serving batch so
     the FFT path is exercised (≥25 taps), and the fused decoder pair
-    runs its Fig. 9 shape.  The 3D paths share the same N-d kernels, so
-    2D timing is representative while keeping quick mode fast.
+    runs its Fig. 9 shape.  Each workload is named after its op, except
+    ``maxpool_inference``: ``maxpool`` times the training path (argmax
+    indices, 2/2/0), which no diagnosis takes, and ``maxpool_inference``
+    the path every pool of a diagnosis takes (no indices, DDnet's 3/2/1
+    window).  ``params["op"]`` names the op.  The 3D paths share the
+    same N-d kernels, so 2D timing is representative while keeping
+    quick mode fast.
     """
     c = 8
     k = 5
@@ -63,7 +68,7 @@ def _op_workloads(size: int, rng: np.random.Generator,
     up_shape = (batch, c, 2 * size, 2 * size)
     shape = {"input": list(x.shape), "weight": list(w.shape)}
     elementwise = {"input": list(x.shape)}
-    return {
+    workloads = {
         "conv": (shape, lambda b: dispatch(
             "conv", x, w, bias, 1, k // 2, want_cols=False, backend=b)),
         "deconv": (shape, lambda b: dispatch(
@@ -74,8 +79,12 @@ def _op_workloads(size: int, rng: np.random.Generator,
             {"input": list(x.shape), "weight": list(w.shape), "scale": 2},
             lambda b: dispatch("unpool_deconv", x, w, up_shape, 2,
                                (1, 1), (k // 2, k // 2), backend=b)),
-        "maxpool": (elementwise, lambda b: dispatch(
-            "maxpool", x, 2, 2, 0, want_indices=True, backend=b)),
+        "maxpool": ({**elementwise, "window": [2, 2, 0], "want_indices": True},
+                    lambda b: dispatch("maxpool", x, 2, 2, 0, want_indices=True,
+                                       backend=b)),
+        "maxpool_inference": (
+            {**elementwise, "op": "maxpool", "window": [3, 2, 1], "want_indices": False},
+            lambda b: dispatch("maxpool", x, 3, 2, 1, want_indices=False, backend=b)),
         "avgpool": (elementwise, lambda b: dispatch(
             "avgpool", x, 2, 2, 0, backend=b)),
         "unpool": (elementwise, lambda b: dispatch("unpool", x, 2, backend=b)),
@@ -85,6 +94,8 @@ def _op_workloads(size: int, rng: np.random.Generator,
         "batchnorm": (elementwise, lambda b: dispatch(
             "batchnorm", x, mean, var, gamma, beta, 1e-5, backend=b)),
     }
+    return {name: ({"op": name, **params}, run)
+            for name, (params, run) in workloads.items()}
 
 
 def _resolve_backends(backends: Optional[Sequence[str]]) -> List[str]:
@@ -125,15 +136,15 @@ def run_kernel_bench(
     if size is None:
         size = 24 if quick else 64
     bench_backends = _resolve_backends(backends)
-    missing = sorted(set(known_ops()) - set(_op_workloads(4, np.random.default_rng(0))))
+    rng = np.random.default_rng(0)
+    workloads = _op_workloads(size, rng)
+    missing = sorted(set(known_ops()) - set(workloads))
     if missing:
         raise RuntimeError(f"kernel bench has no workload for ops: {missing}")
 
-    rng = np.random.default_rng(0)
-    workloads = _op_workloads(size, rng)
     ops: Dict[str, Dict] = {}
-    for op in known_ops():
-        params, run = workloads[op]
+    for name, (params, run) in sorted(workloads.items()):
+        op = params["op"]
         baseline = run(BASELINE_BACKEND)
         entry: Dict = {"params": dict(params), "parity": {}}
         for backend in bench_backends:
@@ -149,12 +160,12 @@ def run_kernel_bench(
             b: ref_s / entry[b]["median_s"]
             for b in bench_backends if b in entry and b != BASELINE_BACKEND
         }
-        ops[op] = entry
+        ops[name] = entry
 
     parity_ok = all(p["ok"] for e in ops.values() for p in e["parity"].values())
     payload: Dict = {
         "bench": "kernels",
-        "schema": 4,
+        "schema": 5,
         "quick": quick,
         "backends": list(bench_backends),
         "baseline": BASELINE_BACKEND,

@@ -28,6 +28,7 @@ role of MoCo's shuffling BN) and a dominant constant feature component
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -62,6 +63,12 @@ class MoCoLite:
         tiny-scale default here is faster-moving).
     temperature:
         InfoNCE softmax temperature.
+    rng:
+        The one generator the query encoder (unless ``encoder`` is
+        given), the projection head, the negative queue and the
+        augmentations draw from, in that order; ``None`` means
+        ``np.random.default_rng(0)``.  The key branch is a copy of the
+        query branch and draws nothing.
     """
 
     def __init__(
@@ -79,17 +86,11 @@ class MoCoLite:
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
         rng = rng or np.random.default_rng(0)
-        self.encoder_q = encoder or Classifier2D(rng=np.random.default_rng(0))
-        self.proj_q = nn.Linear(self.encoder_q.feature_dim, proj_dim,
-                                rng=np.random.default_rng(1))
-        # Key branch: same architectures, synchronized weights.
-        self.encoder_k = Classifier2D(
-            in_channels=self.encoder_q.in_channels,
-            rng=np.random.default_rng(2),
-        ) if encoder is None else self._clone_encoder(encoder)
-        self.proj_k = nn.Linear(self.encoder_q.feature_dim, proj_dim,
-                                rng=np.random.default_rng(3))
-        self._sync_key_branch()
+        self.encoder_q = encoder or Classifier2D(rng=rng)
+        self.proj_q = nn.Linear(self.encoder_q.feature_dim, proj_dim, rng=rng)
+        # Key branch: a copy of the query branch, synchronized weights.
+        self.encoder_k = copy.deepcopy(self.encoder_q)
+        self.proj_k = copy.deepcopy(self.proj_q)
         self.momentum = momentum
         self.temperature = temperature
         self.queue = rng.normal(size=(queue_size, proj_dim))
@@ -99,15 +100,6 @@ class MoCoLite:
         self.augment = augment or contrastive_augmentation(rng)
         self.feature_center = np.zeros(self.encoder_q.feature_dim)
         self._rng = rng
-
-    @staticmethod
-    def _clone_encoder(encoder: Classifier2D) -> Classifier2D:
-        clone = Classifier2D(in_channels=encoder.in_channels,
-                             base=encoder.base, growth=encoder.growth,
-                             num_blocks=encoder.num_blocks,
-                             rng=np.random.default_rng(99))
-        clone.load_state_dict(encoder.state_dict())
-        return clone
 
     def _sync_key_branch(self) -> None:
         self.encoder_k.load_state_dict(self.encoder_q.state_dict())

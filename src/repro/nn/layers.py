@@ -9,6 +9,7 @@ import numpy as np
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.tensor import functional as F
+from repro.tensor.ops_activation import check_negative_slope
 from repro.tensor.tensor import Tensor
 
 
@@ -192,6 +193,7 @@ class ReLU(Module):
 class LeakyReLU(Module):
     def __init__(self, negative_slope: float = 0.01):
         super().__init__()
+        check_negative_slope(negative_slope)
         self.negative_slope = negative_slope
 
     def forward(self, x: Tensor) -> Tensor:

@@ -28,8 +28,28 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x, 0.0)
 
 
+def check_negative_slope(negative_slope: float) -> None:
+    """A Leaky-ReLU slope must lie in (0, 1].
+
+    Only there is ``x if x > 0 else slope·x`` the same as
+    ``max(x, slope·x)``: a zero slope would turn +inf into
+    ``max(inf, 0·inf)`` = NaN (use ReLU), and a slope above one or below
+    zero flips which side the maximum picks.
+    """
+    if not 0.0 < negative_slope <= 1.0:
+        raise ValueError(f"negative_slope must be in (0, 1], got {negative_slope!r}")
+
+
 def leaky_relu_forward(x: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
-    return np.where(x > 0, x, negative_slope * x)
+    """``x`` where positive, else ``negative_slope * x``.
+
+    Computed as ``max(x, slope·x)`` into the one output buffer, which is
+    exact (±0.0, ±inf and NaN included) for the slopes
+    :func:`check_negative_slope` allows.
+    """
+    check_negative_slope(negative_slope)
+    out = np.asarray(negative_slope * x)  # a 0-d input gives a scalar
+    return np.maximum(x, out, out=out)
 
 
 def _elementwise_dispatch_counts(result, x, *args, **kwargs) -> OpCounts:

@@ -35,13 +35,22 @@ def batchnorm_forward(
     """Normalize ``x`` with the given per-channel statistics.
 
     Returns ``(out, x_hat, inv_std)``; the latter two feed the backward
-    pass without recomputation.
+    pass without recomputation.  ``(x - mean)·inv_std`` and
+    ``gamma·x_hat + beta`` each write their second operation into the
+    first one's buffer when its result has that buffer's dtype.
     """
     shape = (1, -1) + (1,) * (x.ndim - 2)
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-    out = gamma.reshape(shape) * x_hat + beta.reshape(shape)
+    x_hat = _into(np.multiply, x - mean.reshape(shape), inv_std.reshape(shape))
+    out = _into(np.add, gamma.reshape(shape) * x_hat, beta.reshape(shape))
     return out, x_hat, inv_std
+
+
+def _into(ufunc, buf: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """``ufunc(buf, operand)``, written into ``buf`` when dtypes allow."""
+    if np.result_type(buf, operand) == buf.dtype:
+        return ufunc(buf, operand, out=buf)
+    return ufunc(buf, operand)
 
 
 def _batchnorm_dispatch_counts(result, x, *args, **kwargs) -> OpCounts:

@@ -9,8 +9,8 @@ pass) is just the transposed products.
 The raw forward kernels are registered with the :mod:`repro.backend`
 registry (ops ``maxpool`` / ``avgpool`` / ``unpool``) and the autograd
 wrappers dispatch through it; ``want_indices=False`` is the max-pool
-inference fast path that skips the argmax bookkeeping the backward
-pass would need.
+inference fast path: a running maximum over the window's strided views,
+without the window copy and argmax bookkeeping the backward pass needs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def max_pool_nd_forward(
     ``flat_idx`` maps every output cell to the flat spatial index of its
     maximum in the padded input — the backward pass's scatter targets.
     ``want_indices=False`` (inference) skips that bookkeeping entirely
-    and returns ``None`` in its place.
+    (:func:`_running_max`) and returns ``None`` in its place.
     """
     nd = x.ndim - 2
     kernel_t = _tuplify(kernel, nd)
@@ -51,14 +51,12 @@ def max_pool_nd_forward(
     else:
         pads = [(0, 0), (0, 0)] + [(p, p) for p in padding_t]
         xp = np.pad(x, pads, mode="constant", constant_values=-np.inf)
-    axes = tuple(range(2, 2 + nd))
-    win = sliding_window_view(xp, kernel_t, axis=axes)
+    if not want_indices:
+        return _running_max(xp, kernel_t, stride_t), None, xp.shape
+    win = sliding_window_view(xp, kernel_t, axis=tuple(range(2, 2 + nd)))
     slicer = (slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride_t)
     win = win[slicer]  # (N, C, *out, *kernel)
     flat = win.reshape(win.shape[: 2 + nd] + (-1,))
-    if not want_indices:
-        out_data = flat.max(axis=-1)
-        return np.ascontiguousarray(out_data), None, xp.shape
     arg = flat.argmax(axis=-1)
     out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
     out_spatial = out_data.shape[2:]
@@ -76,6 +74,27 @@ def max_pool_nd_forward(
     for d in range(nd):
         flat_idx = flat_idx * sp_shape[d] + in_idx[d]
     return np.ascontiguousarray(out_data), flat_idx, xp.shape
+
+
+def _running_max(
+    xp: np.ndarray, kernel_t: Tuple[int, ...], stride_t: Tuple[int, ...]
+) -> np.ndarray:
+    """Window max as a running ``np.maximum`` over the k^d strided views.
+
+    One pass over the output per tap, taps in the window's row-major
+    order, so ties between ±0.0 resolve as a max over the flattened
+    window does; no copy of the sliding windows is made.
+    """
+    out_sp = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kernel_t, stride_t))
+    taps = (
+        xp[(slice(None), slice(None)) + tuple(
+            slice(o, o + (n - 1) * s + 1, s) for o, n, s in zip(offset, out_sp, stride_t))]
+        for offset in np.ndindex(*kernel_t)
+    )
+    out = np.array(next(taps))
+    for tap in taps:
+        np.maximum(out, tap, out=out)
+    return out
 
 
 def avg_pool_nd_forward(x: np.ndarray, kernel=2, stride=None, padding=0) -> np.ndarray:

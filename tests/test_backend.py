@@ -715,9 +715,15 @@ class TestKernelBench:
 
         payload = run_kernel_bench(quick=True, repeats=1, size=12,
                                    with_calibration=False)
-        assert payload["bench"] == "kernels" and payload["schema"] == 4
+        assert payload["bench"] == "kernels" and payload["schema"] == 5
         assert payload["backends"] == ["reference", "fast"]
-        assert set(payload["ops"]) == set(known_ops())
+        assert set(payload["ops"]) == set(known_ops()) | {"maxpool_inference"}
+        assert {op: e["params"]["op"] for op, e in payload["ops"].items()} == {
+            **{op: op for op in known_ops()}, "maxpool_inference": "maxpool"}
+        # The training pool and the pool every diagnosis takes.
+        assert payload["ops"]["maxpool"]["params"]["want_indices"] is True
+        inference = payload["ops"]["maxpool_inference"]["params"]
+        assert inference["want_indices"] is False and inference["window"] == [3, 2, 1]
         assert payload["parity_ok"] is True
         assert not {"precision", "precision_ok", "gate_ok"} & set(payload)
         for op, entry in payload["ops"].items():

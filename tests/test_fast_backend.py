@@ -2,16 +2,21 @@
 
 The backend-wide parity grid lives in ``test_backend.py``; this module
 covers the fast backend's *mechanisms* — crossover selection, the
-filter-transform FFT cache and its invalidation hooks (including the
+shortest-length FFT rule and its parity grid, the bin-major
+filter-transform cache and its invalidation hooks (including the
 dtype/backend composition edge cases and in-place weight updates), the
 fused decoder pair on DDnet, and the bit-identical reference fallbacks.
 """
 
+import itertools
+
 import numpy as np
 import pytest
+import scipy.fft
 
 import repro.nn as nn
 from repro.models.ddnet import DDnet
+import repro.backend.fast as fast_backend
 from repro.backend.fast import (
     FALLBACK_OPS,
     FFT_CROSSOVER_ELEMS,
@@ -59,11 +64,13 @@ class TestCrossover:
     def test_fft_eligibility_crossover(self):
         # 5×5 (the DDnet hot kernel) is exactly at the crossover.
         assert FFT_CROSSOVER_ELEMS == 25
-        assert fft_eligible((5, 5), (1, 1))
-        assert fft_eligible((3, 3, 3), (1, 1, 1))
-        assert not fft_eligible((3, 3), (1, 1))      # below crossover
-        assert not fft_eligible((1, 1), (1, 1))
-        assert not fft_eligible((5, 5), (2, 2))      # strided: gather path
+        assert fft_eligible((5, 5), (1, 1), (2, 2))
+        assert fft_eligible((3, 3, 3), (1, 1, 1), (1, 1, 1))
+        assert fft_eligible((5, 5), (1, 1), (4, 0))
+        assert not fft_eligible((3, 3), (1, 1), (1, 1))   # below crossover
+        assert not fft_eligible((1, 1), (1, 1), (0, 0))
+        assert not fft_eligible((5, 5), (2, 2), (2, 2))   # strided: gather path
+        assert not fft_eligible((5, 5), (1, 1), (5, 2))   # p >= k
 
     def test_strided_and_small_kernels_skip_fft(self, rng):
         # Sub-crossover convs must not populate the FFT cache.
@@ -78,6 +85,163 @@ class TestCrossover:
             dispatch("conv", x, w5, None, 1, 2, want_cols=False,
                      backend="fast")
         assert fft_cache_size() == 1
+
+
+def _conv_and_deconv(x, w, padding, backend):
+    with no_grad():
+        y = dispatch("conv", x, w, None, 1, padding, want_cols=False, backend=backend)[0]
+        gx = dispatch("deconv", y, w, x.shape, 1, padding, backend=backend)
+    return y, gx
+
+
+def _length_rule(x_shape, kernel, padding):
+    """The rfftn lengths the shortest-length rule gives a conv of ``x``
+    and the deconv of its output back to ``x``'s shape."""
+    conv = tuple(next_fast_len(h + p) for h, p in zip(x_shape, padding))
+    out = tuple(h + 2 * p - k + 1 for h, k, p in zip(x_shape, kernel, padding))
+    deconv = tuple(next_fast_len(g + k - 1 - p) for g, k, p in zip(out, kernel, padding))
+    return conv, deconv
+
+
+def _grid():
+    """(kernel, padding, spatial) cases: odd and even k, AH-Net's
+    anisotropic kernels, every p in 0..k-1, sizes from below k to 33."""
+    kernels = [(5, 5), (6, 6), (7, 7), (3, 3, 3), (4, 4, 4), (1, 5, 5), (5, 1, 5),
+               (1, 3, 3), (3, 1, 1)]
+    for kernel in kernels:
+        kmax = max(kernel)
+        for p in range(kmax):
+            padding = tuple(min(p, k - 1) for k in kernel)
+            sizes = [kmax - 1, kmax, 17, 33] if len(kernel) == 2 else [kmax - 1, 9, 16]
+            for i, sp in enumerate(itertools.product(sizes, repeat=len(kernel))):
+                if i % 3 != p % 3:          # a third of the size grid per p
+                    continue
+                if all(h + 2 * q >= k for h, q, k in zip(sp, padding, kernel)):
+                    yield kernel, padding, sp
+
+
+GRID = list(_grid())
+
+
+class TestShortestLength:
+    @pytest.mark.parametrize("kernel,padding,sp", GRID,
+                             ids=[f"k{k}-p{p}-{s}" for k, p, s in GRID])
+    def test_parity_grid(self, kernel, padding, sp):
+        rng = np.random.default_rng(hash((kernel, padding, sp)) % 2**32)
+        dtype = np.float32 if sum(sp) % 2 else np.float64
+        x = rng.normal(size=(2, 2) + sp).astype(dtype)
+        w = rng.normal(size=(3, 2) + kernel).astype(dtype)
+        ref = _conv_and_deconv(x, w, padding, "reference")
+        fast = _conv_and_deconv(x, w, padding, "fast")
+        for r, f in zip(ref, fast):
+            assert f.dtype == dtype
+            assert allclose_ulp(r, f)
+
+    @pytest.mark.parametrize("padding", [0, 2, 4])
+    def test_output_padding_deconv(self, rng, padding):
+        # A transposed conv's output padding makes H longer than G+k-1-2p;
+        # the length rule then covers H+p.
+        g = rng.normal(size=(1, 3, 7, 9))
+        w = rng.normal(size=(3, 2, 5, 5))
+        x_shape = (1, 2, 7 + 4 - 2 * padding + 1, 9 + 4 - 2 * padding + 2)
+        with no_grad():
+            ref, fast = (dispatch("deconv", g, w, x_shape, 1, padding, backend=b)
+                         for b in ("reference", "fast"))
+        assert fft_cache_size() == 1 and allclose_ulp(ref, fast)
+
+    def test_grid_covers_the_fft_path(self):
+        eligible = [c for c in GRID if fft_eligible(c[0], (1,) * len(c[0]), c[1])]
+        assert len(eligible) > len(GRID) // 2
+        assert {len(c[0]) for c in eligible} == {2, 3}
+
+    @pytest.mark.parametrize("kernel,padding", [
+        ((5, 5), (5, 5)), ((5, 5), (2, 6)), ((3, 3, 3), (1, 3, 1)), ((5, 5), (9, 9)),
+    ])
+    def test_padding_of_k_or_more_is_reference_bit_for_bit(self, rng, kernel, padding):
+        x = rng.normal(size=(1, 2) + (6,) * len(kernel))
+        w = rng.normal(size=(3, 2) + kernel)
+        for r, f in zip(_conv_and_deconv(x, w, padding, "reference"),
+                        _conv_and_deconv(x, w, padding, "fast")):
+            assert bit_identical(r, f)
+        assert fft_cache_size() == 0
+
+    @pytest.mark.parametrize("x_shape,kernel,padding", [
+        ((8, 64, 32, 32), (5, 5), (2, 2)),     # DDnet's dense-block convs
+        ((8, 64, 16, 16), (5, 5), (2, 2)),
+        ((8, 64, 8, 8), (5, 5), (2, 2)),
+        ((8, 64, 4, 4), (5, 5), (2, 2)),
+        ((1, 12, 16, 64, 64), (3, 3, 3), (1, 1, 1)),
+        ((1, 2, 3, 20), (6, 6), (4, 1)),
+    ])
+    def test_rfftn_lengths_follow_the_rule(self, monkeypatch, x_shape, kernel, padding):
+        lengths = []
+        real_rfftn = scipy.fft.rfftn
+
+        def spy(a, s=None, axes=None, **kw):
+            lengths.append(tuple(s))
+            return real_rfftn(a, s=s, axes=axes, **kw)
+
+        monkeypatch.setattr(scipy.fft, "rfftn", spy)
+        x = np.zeros((1, 2) + x_shape[2:], dtype=np.float32)
+        w = np.zeros((3, 2) + kernel, dtype=np.float32)
+        _conv_and_deconv(x, w, padding, "fast")
+        conv, deconv = _length_rule(x_shape[2:], kernel, padding)
+        # input and filter transforms of the conv, then of the deconv
+        assert lengths == [conv, conv, deconv, deconv]
+
+    def test_ddnet_lengths(self):
+        assert [_length_rule((n, n), (5, 5), (2, 2))[0] for n in (32, 16, 8)] == [
+            (36, 36), (18, 18), (10, 10)]
+
+    @pytest.mark.parametrize("kernel,padding,sp", [
+        ((5, 5), (2, 2), (11, 13)), ((6, 6), (0, 5), (7, 9)), ((7, 7), (6, 3), (2, 8)),
+        ((7, 7), (1, 1), (5, 9)),            # axis 0: L = 6 cuts the 7-tap kernel
+        ((3, 3, 3), (1, 0, 2), (4, 6, 5)),
+    ])
+    def test_unrounded_length_is_exact_and_one_shorter_is_not(
+            self, monkeypatch, rng, kernel, padding, sp):
+        """The rule is tight: at its exact (unrounded) length the circular
+        result equals the linear one; one bin shorter on any axis, the
+        kept slice no longer fits or the wrap (or a cut kernel) shows."""
+        x = rng.normal(size=(1, 2) + sp)
+        w = rng.normal(size=(3, 2) + kernel)
+        ref = _conv_and_deconv(x, w, padding, "reference")
+        monkeypatch.setattr(fast_backend, "next_fast_len", lambda n: n)
+        for r, f in zip(ref, _conv_and_deconv(x, w, padding, "fast")):
+            assert allclose_ulp(r, f)
+        nd = len(sp)
+        for axis in range(nd):
+            calls = itertools.count()
+            monkeypatch.setattr(fast_backend, "next_fast_len",
+                                lambda n: n - (next(calls) % nd == axis))
+            for r, f in zip(ref, _conv_and_deconv(x, w, padding, "fast")):
+                assert r.shape != f.shape or not allclose_ulp(r, f), axis
+
+    def test_cached_spectrum_is_bin_major_and_contiguous(self, rng):
+        x = rng.normal(size=(2, 4, 12, 10)).astype(np.float32)
+        w = rng.normal(size=(3, 4, 5, 5)).astype(np.float32)
+        _conv_and_deconv(x, w, (2, 1), "fast")
+        conv, deconv = _length_rule((12, 10), (5, 5), (2, 1))
+        spectra = [v[1] for v in fast_backend._FFT_CACHE.values()]
+        bins = [L0 * (L1 // 2 + 1) for L0, L1 in (conv, deconv)]
+        assert [s.shape for s in spectra] == [(bins[0], 4, 3), (bins[1], 3, 4)]
+        for spectrum in spectra:
+            assert spectrum.flags.c_contiguous and spectrum.dtype == np.complex64
+        clear_kernel_caches()
+        assert fft_cache_size() == 0
+
+    def test_cached_spectrum_is_dropped_by_an_optimizer_step(self, rng):
+        layer = nn.Conv2d(4, 3, 5, padding=2, rng=np.random.default_rng(1)).to_backend("fast")
+        x = Tensor(rng.normal(size=(1, 4, 9, 9)))
+        with no_grad():
+            layer(x)
+        (spectrum,) = [v[1] for v in fast_backend._FFT_CACHE.values()]
+        assert spectrum.shape == (next_fast_len(11) * (next_fast_len(11) // 2 + 1), 4, 3)
+        assert spectrum.flags.c_contiguous
+        opt = nn.Adam(layer.parameters(), lr=0.1)
+        layer(x).sum().backward()
+        opt.step()
+        assert fft_cache_size() == 0
 
 
 class TestFFTCache:

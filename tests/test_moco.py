@@ -143,3 +143,47 @@ class TestPretraining:
         x, _ = make_slices(3, 0.5, 4)
         feats = moco.embed(x)
         assert feats.shape == (3, moco.encoder_q.feature_dim)
+
+
+class TestGenerator:
+    def _state(self, moco):
+        return {**moco.encoder_q.state_dict(),
+                **{f"proj.{k}": v for k, v in moco.proj_q.state_dict().items()}}
+
+    def test_one_generator_gives_equal_networks(self):
+        a = MoCoLite(rng=np.random.default_rng(1))
+        b = MoCoLite(rng=np.random.default_rng(1))
+        sa, sb = self._state(a), self._state(b)
+        assert sa.keys() == sb.keys()
+        for k in sa:
+            np.testing.assert_array_equal(sa[k], sb[k], err_msg=k)
+        np.testing.assert_array_equal(a.queue, b.queue)
+
+    def test_two_generators_give_different_networks(self):
+        a = MoCoLite(rng=np.random.default_rng(1))
+        b = MoCoLite(rng=np.random.default_rng(2))
+        enc_a, enc_b = a.encoder_q.state_dict(), b.encoder_q.state_dict()
+        assert any(not np.array_equal(enc_a[k], enc_b[k]) for k in enc_a)
+        assert not np.array_equal(a.proj_q.weight.data, b.proj_q.weight.data)
+        # A given encoder is kept; the head still follows the generator.
+        c = MoCoLite(encoder=small_encoder(), rng=np.random.default_rng(1))
+        d = MoCoLite(encoder=small_encoder(), rng=np.random.default_rng(2))
+        assert not np.array_equal(c.proj_q.weight.data, d.proj_q.weight.data)
+
+    def test_rng_none_is_default_rng_0(self):
+        a, b = MoCoLite(), MoCoLite(rng=np.random.default_rng(0))
+        sa, sb = self._state(a), self._state(b)
+        for k in sa:
+            np.testing.assert_array_equal(sa[k], sb[k], err_msg=k)
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_key_branch_is_an_independent_copy(self, given):
+        moco = MoCoLite(encoder=small_encoder() if given else None,
+                        rng=np.random.default_rng(3))
+        for q, k in ((moco.encoder_q, moco.encoder_k), (moco.proj_q, moco.proj_k)):
+            qs, ks = q.state_dict(), k.state_dict()
+            assert qs.keys() == ks.keys()
+            for name in qs:
+                np.testing.assert_array_equal(qs[name], ks[name], err_msg=name)
+            for pq, pk in zip(q.parameters(), k.parameters()):
+                assert pq is not pk and not np.shares_memory(pq.data, pk.data)
