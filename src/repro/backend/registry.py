@@ -15,7 +15,8 @@ executed through :func:`dispatch`, so
   ``record(kind, site, counts, time_s)`` method (e.g.
   :class:`repro.hetero.runtime.ExecutionTrace`) via
   :func:`trace_dispatches` and real inference becomes visible through
-  the exact same lens as the simulated device fleet,
+  the exact same lens as the simulated device fleet; the sink can ask
+  :func:`calling_module` which layer the dispatch ran for,
 - backend selection nests: an explicit ``backend=`` argument beats the
   thread-local :func:`use_backend` scope, which beats the thread default
   of :func:`set_default_backend`.  Calling a module whose backend is set
@@ -198,8 +199,13 @@ def trace_dispatches(sink):
         _state.sink = previous
 
 
-def dispatch_sink():
-    return getattr(_state, "sink", None)
+def calling_module():
+    """The innermost module being called, for a sink to name its layer.
+
+    :meth:`repro.nn.module.Module.__call__` records it only while a
+    :func:`trace_dispatches` sink is attached; ``None`` otherwise.
+    """
+    return getattr(_state, "module", None)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ six platforms.  This subpackage reproduces that system as:
   model reproducing Tables 4, 5, and 7,
 - :mod:`~repro.hetero.fpga` — Arria-10 resource accounting and the
   runtime-reconfiguration schedule of Fig. 10,
-- :mod:`~repro.hetero.runtime` — an inference engine that *functionally
-  executes* DDnet with these kernels while charging modelled time.
+- :mod:`~repro.hetero.runtime` — an inference engine that runs DDnet's
+  own forward and charges each kernel it dispatches modelled time.
 """
 
 from repro.backend.counters import OpCounts, kernel_op_counts, table6_counts

@@ -6,7 +6,9 @@ operation counts alongside the result, mirroring the paper's
 Execution is routed through the :mod:`repro.backend` kernel registry,
 so these instrumented wrappers run on the thread's backend
 (``with use_backend("fast"):`` selects the FFT kernels) and participate
-in dispatch-level telemetry like every other call site.
+in dispatch-level telemetry like every other call site.  They serve the
+Table 6 and Fig. 9 checks and benchmarks; the inference engine
+(:mod:`repro.hetero.runtime`) runs the model itself instead.
 
 Two deconvolution formulations exist, reproducing Fig. 9 — now in any
 dimensionality (the paper's kernels are 2D; the 3D forms cover the

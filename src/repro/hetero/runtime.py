@@ -1,12 +1,14 @@
-"""Inference engine: functionally execute DDnet on a modelled device.
+"""Inference engine: run DDnet and price its kernels on a modelled device.
 
-Runs a real DDnet (a :class:`repro.models.ddnet.DDnet` instance) through
-the instrumented :mod:`repro.hetero.kernels` — so outputs are genuine —
-while accumulating measured operation counts and the device's modelled
-wall-clock per kernel launch.  This is the reproduction of the paper's
-OpenCL inference path: same operation sequence, same optimization
-switch (naive vs refactored deconvolution), portable across the device
-registry.
+Runs a real DDnet (a :class:`repro.models.ddnet.DDnet` instance) — its
+own ``forward``, so outputs are genuine — and charges every kernel it
+dispatches (:func:`repro.backend.registry.trace_dispatches`) at the
+dispatch's Table 6 operation counts and the device's modelled
+wall-clock.  This is the reproduction of the paper's OpenCL inference
+path: "counters in each kernel", the same optimization switch (naive vs
+refactored deconvolution), portable across the device registry.  Each
+launch is named by the module that dispatched it, as a path in the
+model's ``named_modules()`` (``blocks.0.layers.1.conv2``).
 
 Instrumentation rides the :mod:`repro.telemetry` spine:
 :class:`ExecutionTrace` is a *view* over ``kernel_launch`` events on an
@@ -24,27 +26,20 @@ properties, and a trace exported with
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
 from repro.backend.counters import OpCounts
+from repro.backend.registry import calling_module, trace_dispatches
 from repro.hetero.device import DeviceSpec
-from repro.hetero.kernels import (
-    KernelResult,
-    batchnorm_kernel,
-    conv2d_kernel,
-    deconv2d_naive_kernel,
-    deconv2d_refactored_kernel,
-    leaky_relu_kernel,
-    maxpool_kernel,
-    unpool_bilinear_kernel,
-)
 from repro.hetero.optimizations import OptimizationConfig
 from repro.hetero.perfmodel import PerfModel
 from repro.hetero.schedule import TABLE5_GROUPS
 from repro.models.ddnet import DDnet
 from repro.telemetry import EventBus, open_span
+from repro.tensor import Tensor, no_grad
 
 
 #: Source tag of every kernel-launch event the runtime emits.
@@ -142,7 +137,7 @@ class ExecutionTrace:
 
 
 class InferenceEngine:
-    """Execute a trained DDnet on a device model, kernel by kernel."""
+    """Run a trained DDnet and price its kernel launches on a device model."""
 
     def __init__(
         self,
@@ -177,115 +172,54 @@ class InferenceEngine:
         self._queue = None  # set during run_with_queue
         self.model.eval()
 
-    # -- kernel dispatch -------------------------------------------------
-    def _charge(self, trace: ExecutionTrace, site: str, result: KernelResult) -> np.ndarray:
-        kind = result.kind
+    # -- kernel pricing --------------------------------------------------
+    def _charge(self, trace: ExecutionTrace, site: str, kind: str,
+                counts: OpCounts) -> None:
+        if kind == "deconvolution" and not self.config.refactor_deconv:
+            # Fig. 9a arm: the model ran the gather; price the scatter
+            # at its MAC count m, as hetero.schedule does (exact for
+            # size-preserving stride-1 deconvolutions; a fused
+            # unpool_deconv's m also carries its un-pool).
+            m = counts.flops // 2
+            kind, counts = "deconvolution_naive", OpCounts(3 * m, m, 2 * m)
         if kind in self._flops_rate:
-            t = result.counts.flops / self._flops_rate[kind]
+            t = counts.flops / self._flops_rate[kind]
             if not self.config.prefetch:
                 t *= self.perf_model.calibration[self.device.name].pf_factor
             if not self.config.loop_unroll:
                 t *= self.perf_model.calibration[self.device.name].lu_factor
         else:
-            t = result.counts.bytes_moved / self._bw_rate
+            t = counts.bytes_moved / self._bw_rate
         t += self.device.launch_overhead_us * 1e-6
         if self.fault_hook is not None:
             t = self.fault_hook(kind, site, t)
-        trace.record(kind, site, result.counts, t)
+        trace.record(kind, site, counts, t)
         if self._queue is not None:
             # Queue events carry the pure kernel duration; the queue adds
             # its own launch overhead.
             self._queue.enqueue_kernel(
                 f"{kind}:{site}", t - self.device.launch_overhead_us * 1e-6
             )
-        return result.output
 
-    def _deconv(self, trace, site, x, w, stride=1, padding=0):
-        if self.config.refactor_deconv:
-            return self._charge(trace, site, deconv2d_refactored_kernel(x, w, stride, padding))
-        return self._charge(trace, site, deconv2d_naive_kernel(x, w, stride, padding))
-
-    def _conv_bn_act(self, trace, site, x, conv_mod, bn_mod):
-        x = self._charge(
-            trace, site,
-            conv2d_kernel(x, conv_mod.weight.data,
-                          conv_mod.bias.data if conv_mod.bias is not None else None,
-                          stride=conv_mod.stride, padding=conv_mod.padding),
-        )
-        x = self._charge(
-            trace, site + ":bn",
-            batchnorm_kernel(x, bn_mod.running_mean, bn_mod.running_var,
-                             bn_mod.weight.data, bn_mod.bias.data, bn_mod.eps),
-        )
-        return self._charge(trace, site + ":act", leaky_relu_kernel(x))
-
-    def _deconv_bn_act(self, trace, site, x, block):
-        x = self._deconv(trace, site, x, block.deconv.weight.data,
-                         stride=block.deconv.stride, padding=block.deconv.padding)
-        x = self._charge(
-            trace, site + ":bn",
-            batchnorm_kernel(x, block.bn.running_mean, block.bn.running_var,
-                             block.bn.weight.data, block.bn.bias.data, block.bn.eps),
-        )
-        return self._charge(trace, site + ":act", leaky_relu_kernel(x))
-
-    # -- the DDnet forward schedule ---------------------------------------
     def run(self, x: np.ndarray) -> tuple[np.ndarray, ExecutionTrace]:
         """Execute one inference; returns (enhanced image, trace).
 
-        Functionally identical to ``model(Tensor(x))`` in eval mode
-        (asserted in the test suite) but executed through the
-        instrumented kernel layer with device-time accounting.
+        Runs ``model(Tensor(x))`` under ``no_grad`` and prices every
+        kernel the forward dispatches, in dispatch order, at the
+        device's modelled time.  Each launch's site is the path, in the
+        model's ``named_modules()``, of the innermost module whose call
+        dispatched it (e.g. ``blocks.0.layers.1.conv2``).
         """
-        m = self.model
         trace = ExecutionTrace(bus=self.bus)
         span = open_span(trace.bus, "inference", source=trace.source,
                          t_start=0.0)
-        h = self._conv_bn_act(trace, "stem", np.asarray(x, dtype=np.float64),
-                              m.stem.conv, m.stem.bn)
-        stem = h
-        skips = []
-        for i, (block, transition, pool) in enumerate(zip(m.blocks, m.transitions, m.pools)):
-            h = self._charge(trace, f"pool{i + 1}",
-                             maxpool_kernel(h, pool.kernel_size, pool.stride,
-                                            pool.padding))
-            feats = h
-            for j, layer in enumerate(block.layers):  # noqa: B007
-                site = f"db{i + 1}.l{j + 1}"
-                a = self._charge(
-                    trace, site + ".bn1",
-                    batchnorm_kernel(feats, layer.bn1.running_mean, layer.bn1.running_var,
-                                     layer.bn1.weight.data, layer.bn1.bias.data, layer.bn1.eps),
-                )
-                a = self._charge(trace, site + ".act1", leaky_relu_kernel(a))
-                a = self._charge(trace, site + ".1x1",
-                                 conv2d_kernel(a, layer.conv1.weight.data, None,
-                                               stride=1, padding=0))
-                a = self._charge(
-                    trace, site + ".bn2",
-                    batchnorm_kernel(a, layer.bn2.running_mean, layer.bn2.running_var,
-                                     layer.bn2.weight.data, layer.bn2.bias.data, layer.bn2.eps),
-                )
-                a = self._charge(trace, site + ".act2", leaky_relu_kernel(a))
-                a = self._charge(trace, site + ".kxk",
-                                 conv2d_kernel(a, layer.conv2.weight.data, None,
-                                               stride=1, padding=layer.conv2.padding))
-                feats = np.concatenate([feats, a], axis=1)
-            h = self._conv_bn_act(trace, f"transition{i + 1}", feats,
-                                  transition.conv, transition.bn)
-            skips.append(h)
-        shortcut_feats = skips[-2::-1] + [stem]
-        for stage in range(m.num_blocks):
-            h = self._charge(trace, f"unpool{stage + 1}", unpool_bilinear_kernel(h, 2))
-            h = np.concatenate([h, shortcut_feats[stage]], axis=1)
-            h = self._deconv_bn_act(trace, f"deconv{stage + 1}a", h, m.deconvs_a[stage])
-            if stage < m.num_blocks - 1:
-                h = self._deconv_bn_act(trace, f"deconv{stage + 1}b", h, m.deconvs_b[stage])
-        out = self._deconv(trace, "head", h, m.head.weight.data,
-                           stride=m.head.stride, padding=m.head.padding)
-        out = out + m.head.bias.data.reshape(1, -1, 1, 1)
-        if m.residual:
-            out = out + np.asarray(x, dtype=np.float64)
+        sites = {id(m): name for name, m in self.model.named_modules()}
+
+        def record(kind, _op, counts, _wall_s):
+            self._charge(trace, sites[id(calling_module())], kind, counts)
+
+        with no_grad(), trace_dispatches(SimpleNamespace(record=record)):
+            out = self.model(Tensor(x, dtype=self.model.dtype)).data
         span.close(trace.modelled_time_s, trace=trace.trace_id,
                    device=self.device.name, launches=len(trace.launches))
         return out, trace
@@ -302,7 +236,7 @@ class InferenceEngine:
         from repro.hetero.oclsim import CommandQueue
 
         queue = CommandQueue(self.device, memory_bytes=memory_bytes)
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.model.dtype)
         in_buf = queue.alloc("input", x.nbytes)
         out_buf = queue.alloc("output", x.nbytes)
         queue.enqueue_write(in_buf)

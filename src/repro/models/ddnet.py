@@ -60,6 +60,7 @@ class _DeconvBNAct(nn.Module):
     def forward(self, x):
         return F.leaky_relu(self.bn(self.deconv(x)))
 
+    @nn.backend_scoped
     def forward_fused_unpool(self, x, scale: int = 2):
         """Decoder pair as one kernel: unpool ×``scale`` then this deconv.
 

@@ -18,8 +18,9 @@ the sample-efficiency protocol the related work reports.
 Scale caveat: instance discrimination among procedurally generated
 chest phantoms is *far* harder than among natural images — every
 "instance" shares the same anatomy template — so at this repository's
-CPU scale the learned alignment gap is real but modest (the test suite
-asserts the direction, not ImageNet-class retrieval).  Two collapse
+CPU scale two augmented views of one slice do not reliably embed
+closer than views of different slices: over eight generators the
+warmed-up gap spans about −0.05 to +0.06.  Two collapse
 modes familiar from the MoCo literature appear here too and are handled
 explicitly: batch-norm statistic leakage (frozen, pre-warmed BN — the
 role of MoCo's shuffling BN) and a dominant constant feature component

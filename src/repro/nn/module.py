@@ -29,16 +29,23 @@ def _clear_kernel_caches() -> None:
 def _in_backend_scope(module, fn, /, *args, **kwargs):
     # The module's backend scopes every dispatch of ``fn``, including
     # ``F.*`` calls in model code; a module without one inherits the
-    # caller's.  ``to_backend`` validated the name.
+    # caller's.  ``to_backend`` validated the name.  While a dispatch
+    # sink listens, the module is also the innermost one being called
+    # (``repro.backend.registry.calling_module``).
     backend = module.__dict__.get("_backend")
-    if backend is None:
+    traced = getattr(_dispatch_state, "sink", None) is not None
+    if backend is None and not traced:
         return fn(*args, **kwargs)
-    previous = getattr(_dispatch_state, "backend", None)
-    _dispatch_state.backend = backend
+    previous = (getattr(_dispatch_state, "backend", None),
+                getattr(_dispatch_state, "module", None))
+    if backend is not None:
+        _dispatch_state.backend = backend
+    if traced:
+        _dispatch_state.module = module
     try:
         return fn(*args, **kwargs)
     finally:
-        _dispatch_state.backend = previous
+        _dispatch_state.backend, _dispatch_state.module = previous
 
 
 def backend_scoped(method):

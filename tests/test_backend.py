@@ -22,6 +22,7 @@ from repro.backend.calibrate import (
 from repro.backend.counters import OpCounts, unpool_counts_nd
 from repro.backend.registry import (
     REGISTRY,
+    calling_module,
     dispatch,
     get_backend,
     known_backends,
@@ -331,6 +332,60 @@ class TestTelemetry:
         x = rng.normal(size=(2, 2))
         out = dispatch("relu", x)
         assert np.array_equal(out, np.where(x > 0, x, 0.0))
+
+    def test_module_call_records_the_calling_module_only_under_a_sink(self, rng):
+        # While a sink listens, a dispatch can ask which module's call
+        # it ran in: the innermost one, restored on return and on raise.
+        # Without a sink nothing is recorded; the sink's ``site`` stays
+        # the op name either way.
+        from repro.tensor import functional as F
+
+        seen = []
+
+        class Probe(nn.Module):
+            def __init__(self, fail=False):
+                super().__init__()
+                self.fail = fail
+
+            def forward(self, x):
+                seen.append(calling_module())
+                out = F.relu(x)
+                if self.fail:
+                    raise RuntimeError("forward failed")
+                return out
+
+        class Outer(nn.Module):
+            def __init__(self, inner):
+                super().__init__()
+                self.inner = inner
+
+            def forward(self, x):
+                out = self.inner(x)
+                seen.append(calling_module())
+                return out
+
+        class Sink:
+            def __init__(self):
+                self.rows = []
+
+            def record(self, kind, site, counts, time_s):
+                self.rows.append((site, calling_module()))
+
+        x = Tensor(rng.normal(size=(1, 1, 4, 4)))
+        net = Outer(Probe())
+        net(x)
+        assert seen == [None, None]
+        assert calling_module() is None
+        seen.clear()
+        sink = Sink()
+        with trace_dispatches(sink):
+            net(x)
+            assert seen == [net.inner, net]
+            assert sink.rows == [("relu", net.inner)]
+            assert calling_module() is None
+            with pytest.raises(RuntimeError, match="forward failed"):
+                Outer(Probe(fail=True))(x)
+            assert calling_module() is None
 
     def test_kernel_kinds_cover_calibration_map(self):
         for op in known_ops():

@@ -406,3 +406,127 @@ class TestInferenceEngine:
         _, opt = InferenceEngine(net, NVIDIA_T4).run(x)
         _, naive = InferenceEngine(net, NVIDIA_T4, OptimizationConfig.baseline()).run(x)
         assert naive.modelled_time_s > opt.modelled_time_s
+
+    def test_ddnet_without_shortcuts_runs_its_fused_decoder(self, rng):
+        """The decoder without global shortcuts is one fused
+        ``unpool_deconv`` dispatch per stage, charged as a deconvolution
+        at the fused counts (the deconv plus its un-pool)."""
+        from repro.backend.counters import conv_counts_nd, unpool_counts_nd
+
+        net = DDnet(base_channels=4, growth=4, num_blocks=2, layers_per_block=2,
+                    dense_kernel=3, deconv_kernel=3, global_shortcuts=False,
+                    rng=np.random.default_rng(0)).eval()
+        x = rng.random((1, 1, 16, 16))
+        with no_grad():
+            ref = net(Tensor(x)).data
+        out, trace = InferenceEngine(net, NVIDIA_V100).run(x)
+        assert np.array_equal(out, ref)
+        fused = [e.payload for e in trace.events()
+                 if e.payload["site"].startswith("deconvs_a.")
+                 and e.payload["op"] == "deconvolution"]
+        assert [p["site"] for p in fused] == ["deconvs_a.0", "deconvs_a.1"]
+        assert "unpooling" not in trace.counts
+        for p, size in zip(fused, (8, 16)):
+            assert p["counts"] == (
+                conv_counts_nd((size, size), 8, 4, (3, 3))
+                + unpool_counts_nd((size, size), 4))
+
+
+def _engine_nets():
+    """The two DDnet sizes (and inputs) the trace pin runs."""
+    return (
+        (DDnet(base_channels=4, growth=4, num_blocks=2, layers_per_block=2,
+               dense_kernel=3, deconv_kernel=3,
+               rng=np.random.default_rng(0)).eval(),
+         np.random.default_rng(1).random((1, 1, 16, 16))),
+        (DDnet(base_channels=8, growth=8, num_blocks=3, layers_per_block=2,
+               dense_kernel=5, deconv_kernel=5,
+               rng=np.random.default_rng(0)).eval(),
+         np.random.default_rng(1).random((2, 1, 32, 32))),
+    )
+
+
+class TestInferenceEngineTrace:
+    # sha256 over every launch's (kind, loads, stores, flops,
+    # time_s.hex()) and every run's modelled_time_s.hex(), for both
+    # nets x 6 devices x (Table 7 ladder + FPGA-full).  Recorded from
+    # the hand-written DDnet schedule the engine ran before it priced
+    # the model's own dispatches; the sites are left out (they became
+    # module paths), the output bits too (BLAS-dependent).
+    TRACE_PIN = "c54ce8a229569876a79f8cf812bfb844577ba640116185e5fe0f051ab140800f"
+
+    def test_launch_trace_pin(self):
+        import hashlib
+
+        configs = OptimizationConfig.table7_ladder() + [OptimizationConfig.fpga_full()]
+        pm = PerfModel()
+        digest = hashlib.sha256()
+        runs = 0
+        for net, x in _engine_nets():
+            with no_grad():
+                ref = net(Tensor(x)).data
+            for device in DEVICES.values():
+                for cfg in configs:
+                    out, trace = InferenceEngine(net, device, cfg, pm).run(x)
+                    assert np.array_equal(out, ref)
+                    for e in trace.events():
+                        p, c = e.payload, e.payload["counts"]
+                        digest.update(f"{p['op']},{c.loads},{c.stores},{c.flops},"
+                                      f"{p['time_s'].hex()};".encode())
+                    digest.update(trace.modelled_time_s.hex().encode())
+                    runs += 1
+        assert runs == 60
+        assert digest.hexdigest() == self.TRACE_PIN
+
+    def test_naive_arm_charges_the_schedules_scatter_counts(self):
+        for (net, x), (size, batch) in zip(_engine_nets(), ((16, 1), (32, 2))):
+            _, trace = InferenceEngine(
+                net, INTEL_XEON_6128, OptimizationConfig.baseline()).run(x)
+            dense_kernel = net.blocks[0].layers[0].conv2.kernel_size
+            expected = schedule_totals(ddnet_kernel_schedule(
+                input_size=size, batch=batch, base_channels=net.base_channels,
+                growth=net.growth, num_blocks=net.num_blocks,
+                layers_per_block=net.layers_per_block, dense_kernel=dense_kernel,
+                deconv_kernel=net.deconvs_a[0].deconv.kernel_size,
+                naive_deconv=True))["deconvolution"]
+            got = trace.group_counts()["deconvolution"]
+            assert (got.loads, got.stores, got.flops) == (
+                expected.loads, expected.stores, expected.flops)
+            assert "deconvolution" not in trace.counts
+
+    def test_sites_are_module_paths_and_repeat(self):
+        net, x = _engine_nets()[0]
+        names = {name for name, _ in net.named_modules()}
+        engine = InferenceEngine(net, NVIDIA_V100)
+        first = [launch["site"] for launch in engine.run(x)[1].launches]
+        second = [launch["site"] for launch in engine.run(x)[1].launches]
+        assert first == second
+        assert set(first) <= names
+        assert {"stem.conv", "blocks.0.layers.1.conv2", "deconvs_b.0.deconv",
+                "head"} <= set(first)
+
+    def test_fault_mid_forward_restores_dispatch_state(self):
+        from repro.backend.registry import calling_module, trace_dispatches
+        from repro.resilience.faults import KernelFault
+
+        class Sink:
+            def __init__(self):
+                self.sites = []
+
+            def record(self, kind, site, counts, time_s):
+                self.sites.append(site)
+
+        def hook(kind, site, time_s):
+            if site == "blocks.0.layers.1.conv2":  # four modules deep
+                raise KernelFault(site)
+            return time_s
+
+        net, x = _engine_nets()[0]
+        outer = Sink()
+        with trace_dispatches(outer):
+            with pytest.raises(KernelFault):
+                InferenceEngine(net, NVIDIA_V100, fault_hook=hook).run(x)
+            assert calling_module() is None
+            F.relu(Tensor(x))
+        # The outer sink is back, and still sees op names as sites.
+        assert outer.sites == ["relu"]
