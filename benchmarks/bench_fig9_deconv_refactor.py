@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from conftest import save_text
-from repro.hetero import deconv2d_naive_kernel, deconv2d_refactored_kernel
+from repro.hetero import deconv_nd_naive_kernel, deconv_nd_refactored_kernel
 from repro.report import format_table
 
 REPEATS = 7
@@ -38,11 +38,11 @@ def test_fig9_deconvolution_refactoring(benchmark, results_dir):
     x = rng.normal(size=(1, 2, 96, 96))
     w = rng.normal(size=(2, 4, 5, 5))
 
-    refactored = benchmark(deconv2d_refactored_kernel, x, w, 1, 2)
+    refactored = benchmark(deconv_nd_refactored_kernel, x, w, 1, 2)
 
-    naive = deconv2d_naive_kernel(x, w, 1, 2)
-    naive_time = _median_time(deconv2d_naive_kernel, x, w, 1, 2)
-    ref_time = _median_time(deconv2d_refactored_kernel, x, w, 1, 2)
+    naive = deconv_nd_naive_kernel(x, w, 1, 2)
+    naive_time = _median_time(deconv_nd_naive_kernel, x, w, 1, 2)
+    ref_time = _median_time(deconv_nd_refactored_kernel, x, w, 1, 2)
 
     max_diff = float(np.abs(naive.output - refactored.output).max())
     assert np.allclose(naive.output, refactored.output, atol=1e-9)

@@ -7,7 +7,7 @@ the FPGA.
 """
 
 from conftest import save_text
-from repro.hetero import DEVICES, ddnet_kernel_schedule, schedule_totals
+from repro.hetero import DEVICES, ddnet_totals
 from repro.hetero.perfmodel import PAPER_TABLE5
 from repro.report import format_table
 
@@ -26,10 +26,10 @@ def test_table5_kernel_times(benchmark, results_dir, perf_model):
             "Other model (s)": round(r["other"], 3),
             "Other paper (s)": p["other"],
         })
-    totals = schedule_totals(ddnet_kernel_schedule())
+    totals = ddnet_totals(512, 32)
     text = format_table(rows, title="Table 5 — Optimized kernel times (512x512x32 DDnet inference)")
     text += (
-        f"\n\nWhole-network op totals (from the kernel schedule): "
+        f"\n\nWhole-network op totals (DDnet's own forward): "
         f"conv {totals['convolution'].flops / 1e9:.0f} GFLOP, "
         f"deconv {totals['deconvolution'].flops / 1e9:.0f} GFLOP, "
         f"other {totals['other'].bytes_moved / 1e9:.1f} GB"

@@ -2,17 +2,18 @@
 """Paper-width DDnet inference: measured NumPy vs modelled OpenCL.
 
 Runs the *full-width* DDnet (base 16 channels, growth 16, 4 dense
-blocks, 5×5 kernels — exactly Table 2, 717k parameters) on a real
+blocks, 5×5 kernels — exactly Table 2, 564k parameters) on a real
 chest slice at 128×128, through the instrumented kernel layer with an
 OpenCL-style command queue, then:
 
-- verifies the kernel schedule matches the paper's 37 + 8 layer count,
+- checks that the forward launches the paper's 37 convolutions and 8
+  deconvolutions, as the performance model's count table says,
 - compares this machine's measured wall-clock against the calibrated
   model's predictions for the six Table 4 platforms at the same
   workload,
 - extrapolates to the paper's 512×512×32 reference chunk.
 
-Run:  python examples/paper_scale_inference.py   (~10-20 s)
+Run:  python examples/paper_scale_inference.py   (~1 s)
 """
 
 import time
@@ -22,12 +23,13 @@ import numpy as np
 from repro.ct.hounsfield import normalize_unit
 from repro.data.phantom import ChestPhantomConfig, chest_slice
 from repro.hetero import (
+    DDNET_16X16,
     DEVICES,
     INTEL_XEON_6128,
     InferenceEngine,
+    OptimizationConfig,
     PerfModel,
-    ddnet_kernel_schedule,
-    schedule_totals,
+    ddnet_totals,
 )
 from repro.models import DDnet
 from repro.report import format_table
@@ -38,7 +40,9 @@ SIZE = 128
 def main():
     print(f"Building the full Table 2 DDnet (base 16, growth 16, 4 blocks)...")
     net = DDnet(rng=np.random.default_rng(0)).eval()
-    convs, deconvs = net.conv_layer_count()
+    convs, deconvs = DDNET_16X16["convolution"][0], DDNET_16X16["deconvolution"][0]
+    if (convs, deconvs) != (37, 8):
+        raise SystemExit(f"count table has {convs} + {deconvs} layers, not 37 + 8")
     print(f"  {convs} convolution + {deconvs} deconvolution layers, "
           f"{net.num_parameters():,} parameters")
 
@@ -53,6 +57,9 @@ def main():
     wall = time.perf_counter() - t0
     counts = trace.group_counts()
     gflop = (counts["convolution"].flops + counts["deconvolution"].flops) / 1e9
+    kinds = [launch["kind"] for launch in trace.launches]
+    if (kinds.count("convolution"), kinds.count("deconvolution")) != (convs, deconvs):
+        raise SystemExit("the forward's launches disagree with the count table")
     print(f"  output shape {out.shape}, {len(trace.launches)} kernel launches, "
           f"{gflop:.1f} GFLOP")
     print(f"  measured NumPy wall-clock: {wall:.2f}s "
@@ -64,16 +71,14 @@ def main():
           f"deconv {by_group.get('deconvolution', 0):.4f}s)")
 
     # Model predictions for this workload and for the paper's reference.
-    sched_here = ddnet_kernel_schedule(input_size=SIZE, batch=1)
-    sched_paper = ddnet_kernel_schedule()  # 512x512, batch 32
+    totals_here = ddnet_totals(SIZE, 1)
+    totals_paper = ddnet_totals(512, 32)
     rows = []
     for name, device in DEVICES.items():
-        from repro.hetero import OptimizationConfig
-
         cfg = (OptimizationConfig.fpga_full() if device.device_type == "fpga"
                else OptimizationConfig.ref_pf_lu())
-        here = perf.predict(device, cfg, schedule=sched_here).total_s
-        paper = perf.predict(device, cfg, schedule=sched_paper).total_s
+        here = perf.predict(device, cfg, totals=totals_here).total_s
+        paper = perf.predict(device, cfg, totals=totals_paper).total_s
         rows.append({
             "Platform": name,
             f"{SIZE}x{SIZE}x1 (s)": f"{here:.4f}",
@@ -81,8 +86,7 @@ def main():
         })
     print()
     print(format_table(rows, title="Modelled OpenCL inference times (Table 4 workload rightmost)"))
-    ratio = schedule_totals(sched_paper)["convolution"].flops / \
-        schedule_totals(sched_here)["convolution"].flops
+    ratio = totals_paper["convolution"].flops / totals_here["convolution"].flops
     print(f"\nThe paper's reference chunk is {ratio:.0f}x this example's arithmetic.")
 
 

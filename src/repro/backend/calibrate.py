@@ -31,16 +31,21 @@ import os
 import platform
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backend.counters import OpCounts
 from repro.backend.registry import dispatch, trace_dispatches
 from repro.hetero.device import DEVICES
-from repro.hetero.perfmodel import PerfModel, PlatformPrediction
+from repro.hetero.perfmodel import (
+    DDNET_16X16,
+    PerfModel,
+    PlatformPrediction,
+    table5_groups,
+)
 
-#: Kernel *kind* (schedule vocabulary) → registered op carrying its
+#: Kernel *kind* (dispatch vocabulary) → registered op carrying its
 #: coefficients.  The naive deconvolution maps onto the refactored
 #: op's fit: the host only executes the refactored formulation.
 KIND_TO_OP = {
@@ -115,7 +120,7 @@ class OpCoefficients:
 class KernelCalibration:
     """Per-op fitted coefficients plus host/backend provenance.
 
-    A calibration is only meaningful for a single backend: a schedule
+    A calibration is only meaningful for a single backend: a forward
     predicted from ``fast`` conv coefficients but ``reference`` pool
     coefficients describes a configuration that never executes.  The
     constructor therefore refuses coefficients whose ``backend`` tag
@@ -136,31 +141,33 @@ class KernelCalibration:
                 f"{mixed}; re-run calibrate_host per backend instead of "
                 f"merging samples")
 
-    def op_time(self, op: str, counts: OpCounts) -> float:
+    def kind_time(self, kind: str, counts: OpCounts) -> float:
+        return self._kind_coefficients(kind).predict(counts)
+
+    def _kind_coefficients(self, kind: str) -> OpCoefficients:
+        op = KIND_TO_OP.get(kind)
+        if op is None:
+            raise KeyError(f"unknown kernel kind {kind!r}")
         coeff = self.coefficients.get(op)
         if coeff is None:
             raise KeyError(
                 f"no calibration for op {op!r}; have {sorted(self.coefficients)}")
-        return coeff.predict(counts)
+        return coeff
 
-    def kind_time(self, kind: str, counts: OpCounts) -> float:
-        op = KIND_TO_OP.get(kind)
-        if op is None:
-            raise KeyError(f"unknown kernel kind {kind!r}")
-        return self.op_time(op, counts)
+    def group_times(self, launches: Mapping[str, int],
+                    totals: Mapping[str, OpCounts]) -> Dict[str, float]:
+        """Predicted host seconds per Table 5 group for a forward.
 
-    def group_times(self, schedule) -> Dict[str, float]:
-        """Predicted host seconds per Table 5 group for a kernel schedule."""
-        from repro.hetero.schedule import TABLE5_GROUPS
-
-        kind_to_group = {k: g for g, kinds in TABLE5_GROUPS.items() for k in kinds}
-        out = {g: 0.0 for g in TABLE5_GROUPS}
-        for inv in schedule:
-            group = kind_to_group.get(inv.kind)
-            if group is None:
-                continue
-            out[group] += self.kind_time(inv.kind, inv.counts)
-        return out
+        ``launches[kind]`` launches of each kernel kind do
+        ``totals[kind]`` work between them: each pays its op's
+        overhead once, and the work is priced at its rate.
+        """
+        times = {}
+        for kind, n in launches.items():
+            coeff = self._kind_coefficients(kind)
+            times[kind] = (n * coeff.overhead_s
+                           + coeff.work(totals[kind]) * coeff.seconds_per_unit)
+        return table5_groups(times, 0.0)
 
     def to_dict(self) -> Dict:
         return {
@@ -290,7 +297,7 @@ class CalibratedPerfModel(PerfModel):
     """The analytic perf model re-anchored on measured host execution.
 
     ``corrections[group]`` is the host's measured time for the
-    reference DDnet schedule's group divided by the analytic model's
+    reference DDnet chunk's group divided by the analytic model's
     prediction for ``anchor`` (the Table 5 CPU row by default).  Every
     prediction's group times are scaled by these factors, so
     cross-device ratios stay exactly as calibrated from the paper while
@@ -301,15 +308,15 @@ class CalibratedPerfModel(PerfModel):
         self,
         kernel_calibration: KernelCalibration,
         anchor: str = DEFAULT_ANCHOR,
-        reference_schedule=None,
     ):
-        super().__init__(reference_schedule)
+        super().__init__()
         if anchor not in DEVICES:
             raise KeyError(f"unknown anchor device {anchor!r}")
         self.kernel_calibration = kernel_calibration
         self.anchor = anchor
         anchor_pred = super().predict(DEVICES[anchor])
-        measured = kernel_calibration.group_times(self.reference_schedule)
+        measured = kernel_calibration.group_times(
+            {kind: n for kind, (n, _) in DDNET_16X16.items()}, self.totals)
         self.corrections: Dict[str, float] = {
             "convolution": measured["convolution"] / anchor_pred.convolution_s,
             "deconvolution": measured["deconvolution"] / anchor_pred.deconvolution_s,
@@ -322,9 +329,8 @@ class CalibratedPerfModel(PerfModel):
         """Microbenchmark this host and build the calibrated model."""
         return cls(calibrate_host(**calibrate_kwargs), anchor=anchor)
 
-    def predict(self, device, config=None, schedule=None,
-                totals=None) -> PlatformPrediction:
-        p = super().predict(device, config, schedule, totals)
+    def predict(self, device, config=None, totals=None) -> PlatformPrediction:
+        p = super().predict(device, config, totals)
         return PlatformPrediction(
             p.device, p.config,
             p.convolution_s * self.corrections["convolution"],

@@ -15,9 +15,12 @@ Table 6 and validated against it in the test suite):
 - Leaky-ReLU: 1 load, 1 store, 1 FLOP per element,
 - batch norm: 5 loads and 5 FLOPs per element (x, mean, var, γ, β).
 
-This module lives under :mod:`repro.backend` (not :mod:`repro.hetero`)
-because it is a leaf both the kernel-dispatch registry and the hetero
-simulation import.
+Every registered kernel counts its own dispatch with these formulas,
+so a :func:`repro.backend.registry.trace_dispatches` sink sees the
+Table 6 counts of whatever a model runs; the hetero performance model
+prices the counts of DDnet's own forward.  This module lives under
+:mod:`repro.backend` (not :mod:`repro.hetero`) because it is a leaf
+both the kernel-dispatch registry and the hetero simulation import.
 """
 
 from __future__ import annotations
@@ -128,34 +131,12 @@ def conv_counts(out_h: int, out_w: int, out_ch: int, in_ch: int, k: int,
     return conv_counts_nd((out_h, out_w), out_ch, in_ch, k, batch=batch)
 
 
-def deconv_naive_counts(in_h: int, in_w: int, in_ch: int, out_ch: int, k: int,
-                        batch: int = 1) -> OpCounts:
-    """Naive scatter deconvolution (Fig. 9a), 2D form."""
-    return deconv_naive_counts_nd((in_h, in_w), in_ch, out_ch, k, batch=batch)
-
-
 def pool_counts(out_h: int, out_w: int, ch: int, k: int, batch: int = 1) -> OpCounts:
     return pool_counts_nd((out_h, out_w), ch, k, batch=batch)
 
 
 def unpool_counts(out_h: int, out_w: int, ch: int, batch: int = 1) -> OpCounts:
     return unpool_counts_nd((out_h, out_w), ch, batch=batch)
-
-
-def kernel_op_counts(kind: str, **shape) -> OpCounts:
-    """Dispatch by kernel kind (see :data:`repro.hetero.schedule`)."""
-    table = {
-        "convolution": conv_counts,
-        "deconvolution": conv_counts,       # refactored = conv-like gather
-        "deconvolution_naive": deconv_naive_counts,
-        "pooling": pool_counts,
-        "unpooling": unpool_counts,
-        "leaky_relu": leaky_relu_counts,
-        "batchnorm": batchnorm_counts,
-    }
-    if kind not in table:
-        raise KeyError(f"unknown kernel kind {kind!r}")
-    return table[kind](**shape)
 
 
 def table6_counts() -> Dict[str, OpCounts]:

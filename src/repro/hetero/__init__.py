@@ -5,26 +5,24 @@ six platforms.  This subpackage reproduces that system as:
 
 - :mod:`~repro.hetero.device` — the six platform specs exactly as
   printed in Table 4 (cores, bandwidth, frequency),
-- :mod:`~repro.hetero.kernels` — functional NumPy kernels for the six
-  inference operations, including the *naive* scatter deconvolution
+- :mod:`~repro.hetero.kernels` — the *naive* scatter deconvolution
   (Fig. 9a) and the *refactored* inverse-coefficient-mapping gather
-  deconvolution (Fig. 9b), instrumented with load/store/FLOP counters,
+  deconvolution (Fig. 9b), each returning its load/store/FLOP counts,
 - :mod:`repro.backend.counters` (a leaf shared with the kernel-dispatch
   registry) — the analytic operation-count model that regenerates
-  Table 6,
-- :mod:`~repro.hetero.schedule` — enumeration of every DDnet kernel
-  invocation with shapes (drives whole-network cost totals),
+  Table 6 and counts every dispatch,
 - :mod:`~repro.hetero.optimizations` — the REF/PF/LU/vectorize/CU
   optimization flag set of §4.2,
 - :mod:`~repro.hetero.perfmodel` — a calibrated roofline wall-clock
-  model reproducing Tables 4, 5, and 7,
+  model reproducing Tables 4, 5, and 7 from the counts of DDnet's own
+  forward (``DDNET_16X16``, scaled by ``ddnet_totals``),
 - :mod:`~repro.hetero.fpga` — Arria-10 resource accounting and the
   runtime-reconfiguration schedule of Fig. 10,
 - :mod:`~repro.hetero.runtime` — an inference engine that runs DDnet's
   own forward and charges each kernel it dispatches modelled time.
 """
 
-from repro.backend.counters import OpCounts, kernel_op_counts, table6_counts
+from repro.backend.counters import OpCounts, table6_counts
 from repro.hetero.device import (
     AMD_VEGA_FRONTIER,
     DEVICES,
@@ -35,25 +33,9 @@ from repro.hetero.device import (
     NVIDIA_V100,
     DeviceSpec,
 )
-from repro.hetero.kernels import (
-    KernelResult,
-    batchnorm_kernel,
-    conv2d_kernel,
-    conv3d_kernel,
-    conv_nd_kernel,
-    deconv2d_naive_kernel,
-    deconv2d_refactored_kernel,
-    deconv3d_naive_kernel,
-    deconv3d_refactored_kernel,
-    deconv_nd_naive_kernel,
-    deconv_nd_refactored_kernel,
-    leaky_relu_kernel,
-    maxpool_kernel,
-    unpool_bilinear_kernel,
-)
-from repro.hetero.schedule import KernelInvocation, ddnet_kernel_schedule, schedule_totals
+from repro.hetero.kernels import KernelResult, deconv_nd_naive_kernel, deconv_nd_refactored_kernel
 from repro.hetero.optimizations import OptimizationConfig
-from repro.hetero.perfmodel import PerfModel, PlatformPrediction
+from repro.hetero.perfmodel import DDNET_16X16, PerfModel, PlatformPrediction, ddnet_totals
 from repro.hetero.fpga import FpgaResourceModel, ReconfigurationSchedule
 from repro.hetero.oclsim import Buffer, CommandQueue, DeviceMemoryError, Event, transfer_fraction
 from repro.hetero.runtime import InferenceEngine
@@ -61,15 +43,11 @@ from repro.hetero.runtime import InferenceEngine
 __all__ = [
     "DeviceSpec", "DEVICES", "NVIDIA_V100", "NVIDIA_P100", "NVIDIA_T4",
     "AMD_VEGA_FRONTIER", "INTEL_XEON_6128", "INTEL_ARRIA10",
-    "OpCounts", "kernel_op_counts", "table6_counts",
-    "KernelResult", "conv2d_kernel", "deconv2d_naive_kernel",
-    "deconv2d_refactored_kernel", "maxpool_kernel", "unpool_bilinear_kernel",
-    "leaky_relu_kernel", "batchnorm_kernel",
-    "conv_nd_kernel", "deconv_nd_naive_kernel", "deconv_nd_refactored_kernel",
-    "conv3d_kernel", "deconv3d_naive_kernel", "deconv3d_refactored_kernel",
+    "OpCounts", "table6_counts",
+    "KernelResult", "deconv_nd_naive_kernel", "deconv_nd_refactored_kernel",
     "CalibratedPerfModel",
-    "KernelInvocation", "ddnet_kernel_schedule", "schedule_totals",
     "OptimizationConfig", "PerfModel", "PlatformPrediction",
+    "DDNET_16X16", "ddnet_totals",
     "FpgaResourceModel", "ReconfigurationSchedule", "InferenceEngine",
     "Buffer", "CommandQueue", "Event", "DeviceMemoryError", "transfer_fraction",
 ]

@@ -1,18 +1,10 @@
-"""Instrumented functional kernels for the six inference operations.
+"""Fig. 9's two deconvolution formulations, with their operation counts.
 
-Each kernel *really computes* its operation and returns the analytic
-operation counts alongside the result, mirroring the paper's
-"implementing counters in each kernel" methodology (Table 6, note 2).
-Execution is routed through the :mod:`repro.backend` kernel registry,
-so these instrumented wrappers run on the thread's backend
-(``with use_backend("fast"):`` selects the FFT kernels) and participate
-in dispatch-level telemetry like every other call site.  They serve the
-Table 6 and Fig. 9 checks and benchmarks; the inference engine
-(:mod:`repro.hetero.runtime`) runs the model itself instead.
-
-Two deconvolution formulations exist, reproducing Fig. 9 — now in any
-dimensionality (the paper's kernels are 2D; the 3D forms cover the
-volumetric classification/segmentation stacks):
+Each kernel *really computes* the deconvolution and returns the
+analytic operation counts alongside the result, mirroring the paper's
+"implementing counters in each kernel" methodology (Table 6, note 2),
+in any dimensionality (the paper's kernels are 2D; the 3D forms cover
+the volumetric classification/segmentation stacks):
 
 - :func:`deconv_nd_naive_kernel` — the literal scatter formulation
   (Fig. 9a): every input element multiplies the whole filter and its
@@ -25,28 +17,22 @@ volumetric classification/segmentation stacks):
   ``deconv``, whose ``reference`` kernel runs this gather at stride 1
   when the input has no more channels than the output, and the
   GEMM + col2im scatter otherwise (strided or channel-narrowing
-  shapes; see :func:`repro.tensor.ops_conv.conv_nd_input_grad`).
+  shapes; see :func:`repro.tensor.ops_conv.conv_nd_input_grad`), on
+  the thread's backend.
 
 Both produce the same results to rounding (tested, 2D and 3D); only
-the memory traffic differs.
+the memory traffic differs.  Every other kernel's Table 6 counts come
+from its own dispatch: attach a sink with
+:func:`repro.backend.registry.trace_dispatches`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from repro.backend.counters import (
-    OpCounts,
-    batchnorm_counts,
-    conv_counts_nd,
-    deconv_naive_counts_nd,
-    leaky_relu_counts,
-    pool_counts_nd,
-    unpool_counts_nd,
-)
+from repro.backend.counters import OpCounts, conv_counts_nd, deconv_naive_counts_nd
 from repro.backend.registry import dispatch
 from repro.tensor.ops_conv import _tuplify
 
@@ -58,18 +44,6 @@ class KernelResult:
     output: np.ndarray
     counts: OpCounts
     kind: str
-
-
-# ---------------------------------------------------------------------------
-# N-dimensional kernels
-# ---------------------------------------------------------------------------
-def conv_nd_kernel(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None,
-                   stride=1, padding=0) -> KernelResult:
-    """Convolution via im2col + GEMM (the optimized formulation)."""
-    out, _, _ = dispatch("conv", x, w, bias, stride, padding, want_cols=False)
-    counts = conv_counts_nd(out.shape[2:], out.shape[1], w.shape[1], w.shape[2:],
-                            batch=out.shape[0])
-    return KernelResult(out, counts, "convolution")
 
 
 def deconv_nd_naive_kernel(x: np.ndarray, w: np.ndarray,
@@ -137,83 +111,3 @@ def deconv_nd_refactored_kernel(x: np.ndarray, w: np.ndarray, stride=1, padding=
     out = dispatch("deconv", x, w, (n, f) + out_spatial, stride_t, padding_t)
     counts = conv_counts_nd(out_spatial, f, c, kernel, batch=n)
     return KernelResult(np.ascontiguousarray(out), counts, "deconvolution")
-
-
-def maxpool_nd_kernel(x: np.ndarray, k=3, stride=2, padding=1) -> KernelResult:
-    """Max pooling (3×3/stride-2 in DDnet)."""
-    out, _, _ = dispatch("maxpool", x, k, stride, padding, want_indices=False)
-    counts = pool_counts_nd(out.shape[2:], out.shape[1], k, batch=out.shape[0])
-    return KernelResult(out, counts, "pooling")
-
-
-def unpool_nd_kernel(x: np.ndarray, scale: int = 2) -> KernelResult:
-    """Separable-linear un-pooling (bilinear in 2D, trilinear in 3D)."""
-    out = dispatch("unpool", x, scale)
-    counts = unpool_counts_nd(out.shape[2:], out.shape[1], batch=out.shape[0])
-    return KernelResult(out, counts, "unpooling")
-
-
-def leaky_relu_kernel(x: np.ndarray, negative_slope: float = 0.01) -> KernelResult:
-    out = dispatch("leaky_relu", x, negative_slope)
-    return KernelResult(out, leaky_relu_counts(x.size), "leaky_relu")
-
-
-def batchnorm_kernel(x: np.ndarray, mean: np.ndarray, var: np.ndarray,
-                     gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> KernelResult:
-    """Inference-mode batch normalization with running statistics."""
-    out, _, _ = dispatch("batchnorm", x, mean, var, gamma, beta, eps)
-    return KernelResult(out, batchnorm_counts(x.size), "batchnorm")
-
-
-# ---------------------------------------------------------------------------
-# 2D wrappers (the original Fig. 9 / Table 6 surface)
-# ---------------------------------------------------------------------------
-def conv2d_kernel(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None,
-                  stride: int = 1, padding: int = 0) -> KernelResult:
-    return conv_nd_kernel(x, w, bias, stride, padding)
-
-
-def deconv2d_naive_kernel(x: np.ndarray, w: np.ndarray,
-                          stride: int = 1, padding: int = 0) -> KernelResult:
-    return deconv_nd_naive_kernel(x, w, stride, padding)
-
-
-def deconv2d_refactored_kernel(x: np.ndarray, w: np.ndarray,
-                               stride: int = 1, padding: int = 0) -> KernelResult:
-    return deconv_nd_refactored_kernel(x, w, stride, padding)
-
-
-def maxpool_kernel(x: np.ndarray, k: int = 3, stride: int = 2, padding: int = 1) -> KernelResult:
-    return maxpool_nd_kernel(x, k, stride, padding)
-
-
-def unpool_bilinear_kernel(x: np.ndarray, scale: int = 2) -> KernelResult:
-    return unpool_nd_kernel(x, scale)
-
-
-# ---------------------------------------------------------------------------
-# 3D wrappers (the volumetric Fig. 9 extension)
-# ---------------------------------------------------------------------------
-def _require_volume(x: np.ndarray, w: np.ndarray) -> None:
-    if x.ndim != 5 or w.ndim != 5:
-        raise ValueError(
-            f"3D kernels expect (N, C, D, H, W) input and 5-d weights; "
-            f"got {x.shape} and {w.shape}")
-
-
-def conv3d_kernel(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None,
-                  stride: int = 1, padding: int = 0) -> KernelResult:
-    _require_volume(x, w)
-    return conv_nd_kernel(x, w, bias, stride, padding)
-
-
-def deconv3d_naive_kernel(x: np.ndarray, w: np.ndarray,
-                          stride: int = 1, padding: int = 0) -> KernelResult:
-    _require_volume(x, w)
-    return deconv_nd_naive_kernel(x, w, stride, padding)
-
-
-def deconv3d_refactored_kernel(x: np.ndarray, w: np.ndarray,
-                               stride: int = 1, padding: int = 0) -> KernelResult:
-    _require_volume(x, w)
-    return deconv_nd_refactored_kernel(x, w, stride, padding)

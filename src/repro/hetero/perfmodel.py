@@ -9,10 +9,12 @@ For the optimized (REF + PF + LU) kernels:
 - the "other" kernels (pooling, un-pooling, Leaky-ReLU, batch-norm) are
   *bandwidth-limited*: ``t = bytes / (peak_bw · eff)``.
 
-FLOP and byte totals come from the DDnet kernel schedule
-(:mod:`repro.hetero.schedule`) — the paper's reference workload is a
-512×512×32 chunk — and the per-device efficiencies are **calibrated
-once against the paper's measured Table 5 kernel times**.  GPU conv
+FLOP and byte totals are the counts of the default DDnet's own forward
+(:data:`DDNET_16X16`, the Table 6 counters of every kernel it
+dispatches on one 16×16 slice, scaled exactly to any legal shape by
+:func:`ddnet_totals`) — the paper's reference workload is a 512×512×32
+chunk — and the per-device efficiencies are **calibrated once against
+the paper's measured Table 5 kernel times**.  GPU conv
 efficiencies land at a plausible 0.4-1.3 of peak.  Factors above 1 are
 expected where the Table 6 counting convention over-states true DRAM
 traffic: the counters charge every *global memory operation* the kernel
@@ -25,7 +27,7 @@ The un-optimized configurations of Table 7 are modelled as group-level
 penalty factors (naive scatter deconvolution with read-modify-write
 global traffic; missing prefetch/unroll), also calibrated per device
 from Table 7.  Predictions for *new* workloads (different image sizes,
-batch, width) then follow mechanically from the schedule.
+batch) then follow mechanically from the counts.
 
 PyTorch runtimes (Table 4) = OpenCL time × a per-device framework
 overhead factor (kernel dispatch, no fusion), calibrated from Table 4.
@@ -36,12 +38,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple, TypeVar
 
 from repro.backend.counters import OpCounts
 from repro.hetero.device import DEVICES, DeviceSpec
 from repro.hetero.optimizations import OptimizationConfig
-from repro.hetero.schedule import KernelInvocation, ddnet_kernel_schedule, schedule_totals
 
 #: Paper Table 5: measured optimized kernel times (seconds).
 PAPER_TABLE5: Dict[str, Dict[str, float]] = {
@@ -81,18 +82,57 @@ FPGA_CU_DEDICATED_GAIN = 4.85  # CU×2 ≈ 2.0, dedicated-kernel pipeline ≈ 2.
 FPGA_RECONFIG_OVERHEAD_S = 0.09
 
 
+#: One forward of the default ``DDnet()`` on one 16×16 slice (the
+#: smallest legal size) under ``no_grad``: per kernel kind, its launch
+#: count and the Table 6 counts of all those launches, as
+#: :class:`repro.hetero.runtime.InferenceEngine` traces them.  A tier-1
+#: test re-traces the model and requires this table, so it cannot drift
+#: from the network.  Stored rather than traced at run time: serving
+#: prices DDnet without building or running one.
+DDNET_16X16: Mapping[str, Tuple[int, OpCounts]] = MappingProxyType({
+    "convolution": (37, OpCounts(loads=19767808, stores=32656, flops=19767808)),
+    "deconvolution": (8, OpCounts(loads=17510400, stores=12480, flops=17510400)),
+    "pooling": (4, OpCounts(loads=12240, stores=1360, flops=0)),
+    "unpooling": (4, OpCounts(loads=21760, stores=5440, flops=76160)),
+    "batchnorm": (44, OpCounts(loads=265200, stores=53040, flops=265200)),
+    "leaky_relu": (44, OpCounts(loads=53040, stores=53040, flops=53040)),
+})
+
+#: Kernel kinds grouped the way Table 5 reports them.
+TABLE5_GROUPS = {
+    "convolution": ("convolution",),
+    "deconvolution": ("deconvolution", "deconvolution_naive"),
+    "other": ("pooling", "unpooling", "leaky_relu", "batchnorm"),
+}
+
+_T = TypeVar("_T")
+
+
+def table5_groups(per_kind: Mapping[str, _T], zero: _T) -> Dict[str, _T]:
+    """Sum per-kind values (counts or seconds) into the Table 5 groups.
+
+    Kinds outside every group (e.g. ``relu``) are left out.
+    """
+    return {group: sum((per_kind[k] for k in kinds if k in per_kind), zero)
+            for group, kinds in TABLE5_GROUPS.items()}
+
+
 @functools.lru_cache(maxsize=256)
 def ddnet_totals(input_size: int, batch: int) -> Mapping[str, OpCounts]:
-    """``schedule_totals`` of the default DDnet at one shape, built once.
+    """Counts of the default DDnet on ``batch`` slices of ``input_size``².
 
-    Serving prices every (device, stage, batch size) it meets, and each
-    price needs these totals; the schedule behind them is the same for
-    every device, so it is enumerated once per shape per process.  The
-    mapping is read-only (and :class:`OpCounts` frozen) because every
-    caller shares it.
+    Per kernel kind and per Table 5 group: :data:`DDNET_16X16` scaled
+    by ``(input_size / 16)² · batch``, which is exact because every
+    count is linear in slices × area.  Built once per shape per process
+    and shared by every caller, so the mapping is read-only (and
+    :class:`OpCounts` frozen).
     """
-    return MappingProxyType(schedule_totals(
-        ddnet_kernel_schedule(input_size=input_size, batch=batch)))
+    if input_size % 16:
+        raise ValueError(f"DDnet input size must divide by 16; got {input_size}")
+    scale = (input_size // 16) ** 2 * batch
+    totals = {kind: counts.scaled(scale) for kind, (_, counts) in DDNET_16X16.items()}
+    totals.update(table5_groups(totals, OpCounts()))
+    return MappingProxyType(totals)
 
 
 @dataclass
@@ -126,9 +166,9 @@ class _DeviceCalibration:
 class PerfModel:
     """DDnet inference wall-clock model over the Table 4 platforms."""
 
-    def __init__(self, reference_schedule: Optional[List[KernelInvocation]] = None):
-        self.reference_schedule = reference_schedule or ddnet_kernel_schedule()
-        self.totals = schedule_totals(self.reference_schedule)
+    def __init__(self):
+        #: The paper's reference workload: one 512×512×32 chunk.
+        self.totals = ddnet_totals(512, 32)
         self.calibration: Dict[str, _DeviceCalibration] = {}
         for name, device in DEVICES.items():
             self.calibration[name] = self._calibrate(device)
@@ -188,21 +228,17 @@ class PerfModel:
         self,
         device: DeviceSpec,
         config: Optional[OptimizationConfig] = None,
-        schedule: Optional[List[KernelInvocation]] = None,
         totals: Optional[Mapping[str, OpCounts]] = None,
     ) -> PlatformPrediction:
         """Predict kernel-group times for a configuration and workload.
 
-        The workload is ``totals`` (a :func:`schedule_totals` mapping)
-        or ``schedule`` (at most one of them), else the reference
-        schedule.
+        The workload is ``totals`` (a :func:`ddnet_totals` mapping),
+        else the reference chunk.
         """
         config = config or OptimizationConfig.ref_pf_lu()
         cal = self.calibration[device.name]
         if totals is None:
-            totals = self.totals if schedule is None else schedule_totals(schedule)
-        elif schedule is not None:
-            raise ValueError("pass either schedule or totals, not both")
+            totals = self.totals
         conv = totals["convolution"].flops / (device.peak_flops * cal.conv_eff)
         deconv = totals["deconvolution"].flops / (device.peak_flops * cal.deconv_eff)
         other = totals["other"].bytes_moved / (device.peak_bandwidth * cal.other_eff)
@@ -250,13 +286,13 @@ class PerfModel:
         """Predict times for a *batch* of scan chunks served together.
 
         ``batch`` counts whole scans; each contributes
-        ``slices_per_scan`` slices to the kernel schedule's ``batch``
+        ``slices_per_scan`` slices to :func:`ddnet_totals`' ``batch``
         argument (the paper's reference chunk is 512×512×32, i.e.
-        ``batch=1``).  Times derive mechanically from the schedule, so
+        ``batch=1``).  Times derive mechanically from the counts, so
         ``batch=1`` at the reference shape reproduces the Table 5
-        calibration exactly.  The schedule totals are shared per shape
-        (:func:`ddnet_totals`); the times still go through
-        :meth:`predict`, so a subclass's corrections apply.
+        calibration exactly.  The totals are shared per shape; the
+        times still go through :meth:`predict`, so a subclass's
+        corrections apply.
         """
         if batch < 1:
             raise ValueError("batch must be >= 1")

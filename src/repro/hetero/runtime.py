@@ -11,14 +11,15 @@ launch is named by the module that dispatched it, as a path in the
 model's ``named_modules()`` (``blocks.0.layers.1.conv2``).
 
 Instrumentation rides the :mod:`repro.telemetry` spine:
-:class:`ExecutionTrace` is a *view* over ``kernel_launch`` events on an
-:class:`~repro.telemetry.EventBus` — pass ``bus=`` to share the spine
-with the serving engine (one bus for kernel launches, shed decisions,
-breaker transitions, and heartbeats alike), or let each trace own a
-private bus for standalone use.  Each launch is emitted at the trace's
-cumulative modelled time, so the event stream doubles as a modelled
-timeline; ``launches`` / ``counts`` / ``modelled_time_s`` are derived
-properties, and a trace exported with
+:class:`ExecutionTrace` emits one ``kernel_launch`` event per launch on
+an :class:`~repro.telemetry.EventBus` — pass ``bus=`` to share the
+spine with the serving engine (one bus for kernel launches, shed
+decisions, breaker transitions, and heartbeats alike), or let each
+trace own a private bus for standalone use — and keeps its own events,
+so reading a trace costs its own launches, not the bus's.  Each launch
+is emitted at the trace's cumulative modelled time, so the event stream
+doubles as a modelled timeline; ``launches`` / ``counts`` /
+``modelled_time_s`` are derived properties, and a trace exported with
 :func:`repro.telemetry.export_jsonl` rebuilds losslessly via
 :meth:`ExecutionTrace.from_events`.
 """
@@ -35,8 +36,7 @@ from repro.backend.counters import OpCounts
 from repro.backend.registry import calling_module, trace_dispatches
 from repro.hetero.device import DeviceSpec
 from repro.hetero.optimizations import OptimizationConfig
-from repro.hetero.perfmodel import PerfModel
-from repro.hetero.schedule import TABLE5_GROUPS
+from repro.hetero.perfmodel import PerfModel, table5_groups
 from repro.models.ddnet import DDnet
 from repro.telemetry import EventBus, open_span
 from repro.tensor import Tensor, no_grad
@@ -57,12 +57,12 @@ def _as_opcounts(value) -> OpCounts:
 
 
 class ExecutionTrace:
-    """Per-launch log as a view over ``kernel_launch`` telemetry events.
+    """Per-launch log of ``kernel_launch`` telemetry events.
 
-    ``record`` advances the trace's cumulative modelled clock and emits
-    one event per launch; ``launches`` / ``counts`` /
-    ``modelled_time_s`` are derived from those events, so the bus *is*
-    the trace — export it, reload it, and the view is identical.
+    ``record`` advances the trace's cumulative modelled clock, emits
+    one event per launch and keeps it; ``launches`` / ``counts`` /
+    ``modelled_time_s`` are derived from those events, so the bus holds
+    the whole trace — export it, reload it, and the view is identical.
     """
 
     def __init__(self, bus: Optional[EventBus] = None,
@@ -71,20 +71,20 @@ class ExecutionTrace:
         self.source = source
         self.trace_id = next(_trace_ids)
         self._clock = 0.0  # cumulative modelled seconds within this trace
+        self._events: List = []
 
     def record(self, kind: str, site: str, counts: OpCounts, time_s: float) -> None:
         self._clock += time_s
         # Payload key is ``op`` (not ``kind``): the event's own ``kind``
         # is the stream type, ``kernel_launch``.
-        self.bus.emit(self._clock, "kernel_launch", self.source,
-                      trace=self.trace_id, op=kind, site=site,
-                      time_s=time_s, counts=counts)
+        self._events.append(self.bus.emit(
+            self._clock, "kernel_launch", self.source, trace=self.trace_id,
+            op=kind, site=site, time_s=time_s, counts=counts))
 
     # -- derived views ---------------------------------------------------
     def events(self):
         """This trace's ``kernel_launch`` events, in launch order."""
-        return [e for e in self.bus.of_kind("kernel_launch")
-                if e.payload.get("trace") == self.trace_id]
+        return list(self._events)
 
     @property
     def launches(self) -> List[Dict]:
@@ -105,14 +105,7 @@ class ExecutionTrace:
         return sum(e.payload["time_s"] for e in self.events())
 
     def group_counts(self) -> Dict[str, OpCounts]:
-        counts = self.counts
-        grouped: Dict[str, OpCounts] = {}
-        for group, kinds in TABLE5_GROUPS.items():
-            acc = OpCounts()
-            for k in kinds:
-                acc = acc + counts.get(k, OpCounts())
-            grouped[group] = acc
-        return grouped
+        return table5_groups(self.counts, OpCounts())
 
     @classmethod
     def from_events(cls, events: Iterable,
@@ -177,9 +170,10 @@ class InferenceEngine:
                 counts: OpCounts) -> None:
         if kind == "deconvolution" and not self.config.refactor_deconv:
             # Fig. 9a arm: the model ran the gather; price the scatter
-            # at its MAC count m, as hetero.schedule does (exact for
-            # size-preserving stride-1 deconvolutions; a fused
-            # unpool_deconv's m also carries its un-pool).
+            # at its MAC count m, Table 6's naive counts (3m, m, 2m)
+            # (exact for size-preserving stride-1 deconvolutions, as all
+            # of DDnet's are; a fused unpool_deconv's m also carries its
+            # un-pool).
             m = counts.flops // 2
             kind, counts = "deconvolution_naive", OpCounts(3 * m, m, 2 * m)
         if kind in self._flops_rate:

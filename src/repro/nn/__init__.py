@@ -10,8 +10,6 @@ distributed sampling, and the §3.3.1 augmentation transforms.
 
 from repro.nn.module import Module, Parameter, Sequential, ModuleList, backend_scoped
 from repro.nn.layers import (
-    AvgPool2d,
-    BatchNorm1d,
     BatchNorm2d,
     Conv2d,
     ConvTranspose2d,
@@ -25,7 +23,6 @@ from repro.nn.layers import (
     UpsampleBilinear2d,
 )
 from repro.nn.layers3d import (
-    AvgPool3d,
     BatchNorm3d,
     Conv3d,
     GlobalAvgPool,
@@ -41,10 +38,10 @@ from repro.nn import augment
 
 __all__ = [
     "Module", "Parameter", "Sequential", "ModuleList", "backend_scoped",
-    "Conv2d", "ConvTranspose2d", "Linear", "BatchNorm1d", "BatchNorm2d",
-    "MaxPool2d", "AvgPool2d", "UpsampleBilinear2d", "LeakyReLU", "ReLU",
+    "Conv2d", "ConvTranspose2d", "Linear", "BatchNorm2d",
+    "MaxPool2d", "UpsampleBilinear2d", "LeakyReLU", "ReLU",
     "Sigmoid", "Dropout", "Identity",
-    "Conv3d", "BatchNorm3d", "MaxPool3d", "AvgPool3d",
+    "Conv3d", "BatchNorm3d", "MaxPool3d",
     "GlobalAvgPool", "UpsampleTrilinear3d",
     "MSELoss", "L1Loss", "BCELoss", "BCEWithLogitsLoss", "MSSSIMLoss",
     "CompositeLoss",

@@ -138,10 +138,6 @@ class _BatchNormNd(Module):
         return f"{type(self).__name__}({self.num_features})"
 
 
-class BatchNorm1d(_BatchNormNd):
-    """Batch norm over (N, C) or (N, C, L)."""
-
-
 class BatchNorm2d(_BatchNormNd):
     """Batch norm over (N, C, H, W)."""
 
@@ -158,17 +154,6 @@ class MaxPool2d(Module):
 
     def __repr__(self):
         return f"MaxPool2d(k={self.kernel_size}, s={self.stride}, p={self.padding})"
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool_nd(x, self.kernel_size, self.stride, self.padding)
 
 
 class UpsampleBilinear2d(Module):

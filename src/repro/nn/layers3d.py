@@ -70,17 +70,6 @@ class MaxPool3d(Module):
         return F.max_pool_nd(x, self.kernel_size, self.stride, self.padding)
 
 
-class AvgPool3d(Module):
-    def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool_nd(x, self.kernel_size, self.stride, self.padding)
-
-
 class GlobalAvgPool(Module):
     """Average over all spatial axes — the classifier-head reducer."""
 

@@ -547,12 +547,23 @@ class TestCalibration:
             cal.kind_time("fft", counts)
 
     def test_group_times_cover_reference_schedule(self):
-        from repro.hetero.schedule import ddnet_kernel_schedule
+        from repro.hetero.perfmodel import DDNET_16X16, ddnet_totals
 
-        cal = _synthetic_calibration()
-        groups = cal.group_times(ddnet_kernel_schedule())
+        cal = _synthetic_calibration(overhead=1e-6)
+        launches = {kind: n for kind, (n, _) in DDNET_16X16.items()}
+        groups = cal.group_times(launches, ddnet_totals(512, 32))
         assert set(groups) == {"convolution", "deconvolution", "other"}
         assert all(v > 0 for v in groups.values())
+        # Launches share the work; each pays its op's overhead once.
+        a = OpCounts(loads=100, stores=10, flops=1000)
+        b = OpCounts(loads=300, stores=30, flops=5000)
+        two = cal.group_times({"convolution": 2, "pooling": 2},
+                              {"convolution": a + b, "pooling": a + b})
+        assert two["convolution"] == pytest.approx(
+            cal.kind_time("convolution", a) + cal.kind_time("convolution", b), rel=1e-12)
+        assert two["other"] == pytest.approx(
+            cal.kind_time("pooling", a) + cal.kind_time("pooling", b), rel=1e-12)
+        assert two["deconvolution"] == 0.0
 
 
 class TestCalibratedPerfModel:
@@ -661,9 +672,10 @@ class TestCalibratedPerfModel:
 
 
 class TestSharedScheduleTotals:
-    """``predict_batch`` reads per-shape schedule totals built once per
-    process; it must still agree bit for bit with pricing the schedule
-    through ``predict``, and no caller can change what it shares."""
+    """``predict_batch`` reads per-shape DDnet totals built once per
+    process; it must still agree bit for bit with pricing the same
+    counts through ``predict``, and no caller can change what it
+    shares."""
 
     @pytest.fixture(params=["analytic", "calibrated"])
     def model(self, request):
@@ -679,27 +691,19 @@ class TestSharedScheduleTotals:
     def test_predict_batch_matches_predict_on_the_schedule(self, model):
         from repro.hetero import DEVICES
         from repro.hetero.optimizations import OptimizationConfig
-        from repro.hetero.schedule import ddnet_kernel_schedule
+        from repro.hetero.perfmodel import ddnet_totals
 
         slices = 4
         for device in DEVICES.values():
             cfg = (OptimizationConfig.fpga_full()
                    if device.device_type == "fpga" else None)
             for input_size in (64, 512):
+                one_slice = ddnet_totals(input_size, 1)
                 for b in (1, 3, 8):
                     got = model.predict_batch(device, b, cfg, input_size, slices)
-                    want = model.predict(device, cfg, ddnet_kernel_schedule(
-                        input_size=input_size, batch=b * slices))
+                    want = model.predict(device, cfg, totals={
+                        k: c.scaled(b * slices) for k, c in one_slice.items()})
                     assert got == want, (device.name, input_size, b)
-
-    def test_schedule_and_totals_are_exclusive(self, model):
-        from repro.hetero import NVIDIA_T4
-        from repro.hetero.perfmodel import ddnet_totals
-        from repro.hetero.schedule import ddnet_kernel_schedule
-
-        with pytest.raises(ValueError, match="not both"):
-            model.predict(NVIDIA_T4, schedule=ddnet_kernel_schedule(64, 1),
-                          totals=ddnet_totals(64, 1))
 
     def test_callers_cannot_change_the_next_prediction(self, model):
         from dataclasses import FrozenInstanceError

@@ -100,31 +100,22 @@ class TestDtypeHandling:
 
 
 class TestEngineVsPerfModelConsistency:
-    def test_trace_time_matches_model_prediction(self, rng):
-        """The engine's accumulated time must equal the PerfModel's
-        prediction for the same schedule (same rates, same counts)."""
-        net = DDnet(base_channels=4, growth=4, num_blocks=2, layers_per_block=2,
-                    dense_kernel=3, deconv_kernel=3,
-                    rng=np.random.default_rng(0)).eval()
+    def test_trace_time_matches_model_prediction(self):
+        """The engine's time for the default DDnet, less launch
+        overheads, is the PerfModel's prediction for the same shape in
+        every Table 5 group: one description of DDnet, priced twice."""
+        from repro.hetero.perfmodel import ddnet_totals, table5_groups
+
         pm = PerfModel()
-        eng = InferenceEngine(net, NVIDIA_V100, perf_model=pm)
-        x = rng.random((1, 1, 16, 16))
-        _, trace = eng.run(x)
-        from repro.hetero import ddnet_kernel_schedule
-
-        sched = ddnet_kernel_schedule(input_size=16, batch=1, base_channels=4,
-                                      growth=4, num_blocks=2, layers_per_block=2,
-                                      dense_kernel=3, deconv_kernel=3)
-        pred = pm.predict(NVIDIA_V100, schedule=sched)
-        overhead = len(trace.launches) * NVIDIA_V100.launch_overhead_us * 1e-6
-        # Conv/deconv counts agree exactly; "other" differs slightly
-        # because the dense blocks batch-normalize their growing
-        # *concatenated inputs* (pre-activation) while the schedule
-        # charges BN on conv outputs — a few percent of a tiny term.
-        got = trace.group_counts()
-        from repro.hetero.schedule import schedule_totals
-
-        st = schedule_totals(sched)
-        assert got["convolution"] == st["convolution"]
-        assert got["deconvolution"] == st["deconvolution"]
-        assert trace.modelled_time_s - overhead == pytest.approx(pred.total_s, rel=0.05)
+        _, trace = InferenceEngine(DDnet(), NVIDIA_V100, perf_model=pm).run(
+            np.zeros((1, 1, 16, 16)))
+        pred = pm.predict(NVIDIA_V100, totals=ddnet_totals(16, 1))
+        overhead = NVIDIA_V100.launch_overhead_us * 1e-6
+        per_kind = {}
+        for launch in trace.launches:
+            per_kind[launch["kind"]] = (per_kind.get(launch["kind"], 0.0)
+                                        + launch["time_s"] - overhead)
+        got = table5_groups(per_kind, 0.0)
+        assert got["convolution"] == pytest.approx(pred.convolution_s, rel=1e-12)
+        assert got["deconvolution"] == pytest.approx(pred.deconvolution_s, rel=1e-12)
+        assert got["other"] == pytest.approx(pred.other_s, rel=1e-12)

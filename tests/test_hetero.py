@@ -1,10 +1,22 @@
 """Tests for the heterogeneous inference substrate (Tables 4-7, Figs. 9-10)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.backend.counters import PAPER_TABLE6_MILLIONS
+from repro.backend.counters import (
+    PAPER_TABLE6_MILLIONS,
+    batchnorm_counts,
+    conv_counts_nd,
+    deconv_naive_counts_nd,
+    leaky_relu_counts,
+    pool_counts_nd,
+    unpool_counts_nd,
+)
+from repro.backend.registry import dispatch, trace_dispatches
 from repro.hetero import (
+    DDNET_16X16,
     DEVICES,
     INTEL_ARRIA10,
     INTEL_XEON_6128,
@@ -14,29 +26,28 @@ from repro.hetero import (
     InferenceEngine,
     OptimizationConfig,
     PerfModel,
-    conv2d_kernel,
-    ddnet_kernel_schedule,
-    deconv2d_naive_kernel,
-    deconv2d_refactored_kernel,
-    kernel_op_counts,
-    schedule_totals,
+    ddnet_totals,
+    deconv_nd_naive_kernel,
+    deconv_nd_refactored_kernel,
     table6_counts,
 )
 from repro.hetero.device import get_device
 from repro.hetero.fpga import ReconfigurationSchedule
-from repro.hetero.kernels import (
-    batchnorm_kernel,
-    conv3d_kernel,
-    deconv3d_naive_kernel,
-    deconv3d_refactored_kernel,
-    leaky_relu_kernel,
-    maxpool_kernel,
-    unpool_bilinear_kernel,
-)
 from repro.hetero.perfmodel import PAPER_TABLE4, PAPER_TABLE5, PAPER_TABLE7
 from repro.models import DDnet
 from repro.tensor import Tensor, no_grad
 from repro.tensor import functional as F
+
+
+def _dispatched(op, *args, **kwargs):
+    """Run one dispatch of ``op``; returns (result, kind, counts)."""
+    rows = []
+    sink = SimpleNamespace(
+        record=lambda kind, site, counts, time_s: rows.append((kind, counts)))
+    with trace_dispatches(sink):
+        result = dispatch(op, *args, **kwargs)
+    (kind, counts), = rows
+    return result, kind, counts
 
 
 class TestDevices:
@@ -74,14 +85,10 @@ class TestCounters:
         assert t6["Convolution"] == t6["Deconvolution"]
 
     def test_naive_deconv_more_traffic(self):
-        opt = kernel_op_counts("deconvolution", out_h=16, out_w=16, out_ch=4, in_ch=4, k=3)
-        naive = kernel_op_counts("deconvolution_naive", in_h=16, in_w=16, in_ch=4, out_ch=4, k=3)
+        opt = conv_counts_nd((16, 16), 4, 4, 3)
+        naive = deconv_naive_counts_nd((16, 16), 4, 4, 3)
         assert naive.loads + naive.stores > opt.loads + opt.stores
         assert naive.flops == opt.flops  # same math, different traffic
-
-    def test_unknown_kind(self):
-        with pytest.raises(KeyError):
-            kernel_op_counts("fft", numel=10)
 
 
 class TestKernels:
@@ -90,61 +97,69 @@ class TestKernels:
         x = rng.normal(size=(2, 3, 7, 7))
         w = rng.normal(size=(3, 4, 5, 5))
         for stride, padding in [(1, 2), (1, 0), (2, 1)]:
-            a = deconv2d_naive_kernel(x, w, stride, padding)
-            b = deconv2d_refactored_kernel(x, w, stride, padding)
+            a = deconv_nd_naive_kernel(x, w, stride, padding)
+            b = deconv_nd_refactored_kernel(x, w, stride, padding)
             assert np.allclose(a.output, b.output, atol=1e-10), (stride, padding)
 
     def test_refactored_fewer_memory_ops(self, rng):
         x = rng.normal(size=(1, 2, 8, 8))
         w = rng.normal(size=(2, 2, 5, 5))
-        a = deconv2d_naive_kernel(x, w)
-        b = deconv2d_refactored_kernel(x, w)
+        a = deconv_nd_naive_kernel(x, w)
+        b = deconv_nd_refactored_kernel(x, w)
         assert a.counts.stores > b.counts.stores * 10
 
+    # Every other Table 6 kernel counts itself in its own dispatch.
     def test_conv_kernel_matches_autograd(self, rng):
         x = rng.normal(size=(1, 2, 9, 9))
         w = rng.normal(size=(3, 2, 3, 3))
-        res = conv2d_kernel(x, w, stride=2, padding=1)
+        (out, _, _), kind, counts = _dispatched("conv", x, w, None, 2, 1,
+                                                want_cols=False)
         ref = F.conv2d(Tensor(x), Tensor(w), stride=2, padding=1).data
-        assert np.allclose(res.output, ref)
+        assert np.allclose(out, ref)
+        assert (kind, counts) == ("convolution", conv_counts_nd((5, 5), 3, 2, 3))
 
     def test_maxpool_kernel(self, rng):
         x = rng.normal(size=(1, 2, 8, 8))
-        res = maxpool_kernel(x, 2, 2, 0)
+        (out, _, _), kind, counts = _dispatched("maxpool", x, 2, 2, 0,
+                                                want_indices=False)
         ref = F.max_pool_nd(Tensor(x), 2, 2).data
-        assert np.allclose(res.output, ref)
+        assert np.allclose(out, ref)
+        assert (kind, counts) == ("pooling", pool_counts_nd((4, 4), 2, 2))
 
     def test_unpool_kernel(self, rng):
         x = rng.normal(size=(1, 2, 4, 4))
-        res = unpool_bilinear_kernel(x, 2)
+        out, kind, counts = _dispatched("unpool", x, 2)
         ref = F.upsample_bilinear(Tensor(x), 2).data
-        assert np.allclose(res.output, ref)
+        assert np.allclose(out, ref)
+        assert (kind, counts) == ("unpooling", unpool_counts_nd((8, 8), 2))
 
     def test_batchnorm_kernel(self, rng):
         x = rng.normal(size=(2, 3, 4, 4))
         mean, var = rng.normal(size=3), rng.uniform(0.5, 2, size=3)
         g, b = rng.normal(size=3), rng.normal(size=3)
-        res = batchnorm_kernel(x, mean, var, g, b)
+        (out, _, _), kind, counts = _dispatched("batchnorm", x, mean, var, g, b, 1e-5)
         gt, bt = Tensor(g), Tensor(b)
         ref = F.batch_norm(Tensor(x), gt, bt, mean, var, training=False).data
-        assert np.allclose(res.output, ref)
+        assert np.allclose(out, ref)
+        assert (kind, counts) == ("batchnorm", batchnorm_counts(x.size))
 
     def test_leaky_relu_kernel(self, rng):
         x = rng.normal(size=(4, 4))
-        res = leaky_relu_kernel(x, 0.1)
-        assert np.allclose(res.output, np.where(x > 0, x, 0.1 * x))
+        out, kind, counts = _dispatched("leaky_relu", x, 0.1)
+        assert np.allclose(out, np.where(x > 0, x, 0.1 * x))
+        assert (kind, counts) == ("leaky_relu", leaky_relu_counts(x.size))
 
     def test_channel_validation(self, rng):
         with pytest.raises(ValueError):
-            deconv2d_naive_kernel(np.zeros((1, 3, 4, 4)), np.zeros((2, 2, 3, 3)))
+            deconv_nd_naive_kernel(np.zeros((1, 3, 4, 4)), np.zeros((2, 2, 3, 3)))
 
     def test_naive_equals_refactored_3d(self, rng):
         """Fig. 9 extended to volumes: scatter and gather forms agree."""
         x = rng.normal(size=(2, 2, 3, 4, 4))
         w = rng.normal(size=(2, 3, 3, 3, 3))
         for stride, padding in [(1, 0), (1, 1), (2, 1)]:
-            a = deconv3d_naive_kernel(x, w, stride, padding)
-            b = deconv3d_refactored_kernel(x, w, stride, padding)
+            a = deconv_nd_naive_kernel(x, w, stride, padding)
+            b = deconv_nd_refactored_kernel(x, w, stride, padding)
             assert a.output.shape == b.output.shape, (stride, padding)
             assert np.allclose(a.output, b.output, atol=1e-10), (stride, padding)
 
@@ -156,7 +171,7 @@ class TestKernels:
         w = rng.normal(size=(2, 3, 3, 3, 3))
         # Stride 2 runs the scatter form; stride 1 with F <= C the gather.
         for stride, padding in [(2, 1), (1, 1)]:
-            res = deconv3d_refactored_kernel(x, w, stride, padding)
+            res = deconv_nd_refactored_kernel(x, w, stride, padding)
             out_shape = (1, 3) + tuple(
                 (s - 1) * stride + 3 - 2 * padding for s in x.shape[2:])
             ref = conv_nd_input_grad(x, w, out_shape, stride, padding)
@@ -166,47 +181,65 @@ class TestKernels:
         """Table 6's store asymmetry carries over to the 3D kernels."""
         x = rng.normal(size=(1, 2, 4, 4, 4))
         w = rng.normal(size=(2, 2, 3, 3, 3))
-        a = deconv3d_naive_kernel(x, w)
-        b = deconv3d_refactored_kernel(x, w)
+        a = deconv_nd_naive_kernel(x, w)
+        b = deconv_nd_refactored_kernel(x, w)
         assert a.counts.stores > b.counts.stores * 10
 
-    def test_3d_wrappers_validate_rank(self):
-        with pytest.raises(ValueError):
-            conv3d_kernel(np.zeros((1, 2, 4, 4)), np.zeros((2, 2, 3, 3)))
-        with pytest.raises(ValueError):
-            deconv3d_naive_kernel(np.zeros((1, 2, 4, 4)), np.zeros((2, 2, 3, 3)))
+
+@pytest.fixture(scope="module")
+def ddnet():
+    """The default (paper-width) DDnet whose forward the perf model prices."""
+    return DDnet().eval()
 
 
 class TestSchedule:
-    def test_paper_kernel_counts_in_schedule(self):
-        invs = ddnet_kernel_schedule()
-        convs = sum(1 for i in invs if i.kind == "convolution")
-        deconvs = sum(1 for i in invs if i.kind.startswith("deconvolution"))
-        assert convs == 37
-        assert deconvs == 8
+    """DDnet's kernel counts as the perf model stores them (``DDNET_16X16``)."""
 
-    def test_naive_flag_switches_kind(self):
-        invs = ddnet_kernel_schedule(naive_deconv=True)
-        assert all(i.kind != "deconvolution" for i in invs)
-        assert sum(1 for i in invs if i.kind == "deconvolution_naive") == 8
+    def test_table_is_ddnets_own_forward(self, ddnet):
+        """Re-trace the model: the stored table must be its forward, and
+        a larger shape exactly the table scaled by slices × area."""
+        for size, batch in ((16, 1), (32, 2)):
+            _, trace = InferenceEngine(ddnet, NVIDIA_V100).run(
+                np.zeros((batch, 1, size, size)))
+            launches = {}
+            for launch in trace.launches:
+                launches[launch["kind"]] = launches.get(launch["kind"], 0) + 1
+            assert launches == {k: n for k, (n, _) in DDNET_16X16.items()}
+            totals = ddnet_totals(size, batch)
+            assert trace.counts == {k: totals[k] for k in DDNET_16X16}
+
+    def test_paper_kernel_counts_in_schedule(self, ddnet):
+        """Table 2: 37 convolutions and 8 deconvolutions per forward."""
+        assert DDNET_16X16["convolution"][0] == 37
+        assert DDNET_16X16["deconvolution"][0] == 8
+        assert ddnet.conv_layer_count() == (37, 8)
+
+    def test_naive_flag_switches_kind(self, ddnet):
+        _, trace = InferenceEngine(ddnet, NVIDIA_V100, OptimizationConfig.baseline()).run(
+            np.zeros((1, 1, 16, 16)))
+        kinds = [launch["kind"] for launch in trace.launches]
+        assert "deconvolution" not in kinds
+        assert kinds.count("deconvolution_naive") == 8
 
     def test_totals_grouping(self):
-        totals = schedule_totals(ddnet_kernel_schedule())
+        totals = ddnet_totals(512, 32)
         assert totals["convolution"].flops > 0
-        assert totals["other"].flops >= 0
+        assert totals["other"] == (totals["pooling"] + totals["unpooling"]
+                                   + totals["leaky_relu"] + totals["batchnorm"])
         # §5.1.3: convolution does more work than deconvolution (the
         # paper quotes ~1.87×; the exact Table 2 shapes give ~1.13×).
         ratio = totals["convolution"].flops / totals["deconvolution"].flops
         assert 1.0 < ratio < 2.6
 
     def test_input_size_validation(self):
-        with pytest.raises(ValueError):
-            ddnet_kernel_schedule(input_size=100)
+        with pytest.raises(ValueError, match="divide by 16"):
+            ddnet_totals(100, 1)
 
     def test_batch_scales_counts(self):
-        t1 = schedule_totals(ddnet_kernel_schedule(batch=1))
-        t2 = schedule_totals(ddnet_kernel_schedule(batch=2))
-        assert t2["convolution"].flops == 2 * t1["convolution"].flops
+        t1, t3 = ddnet_totals(512, 1), ddnet_totals(512, 3)
+        assert set(t1) == set(t3)
+        for key in t1:
+            assert t3[key] == t1[key].scaled(3), key
 
 
 class TestPerfModel:
@@ -279,8 +312,7 @@ class TestPerfModel:
             pm.predict(NVIDIA_V100, OptimizationConfig.fpga_full())
 
     def test_smaller_workload_scales_down(self, pm):
-        small = ddnet_kernel_schedule(input_size=256, batch=8)
-        p_small = pm.predict(NVIDIA_V100, schedule=small)
+        p_small = pm.predict(NVIDIA_V100, totals=ddnet_totals(256, 8))
         p_ref = pm.predict(NVIDIA_V100)
         assert p_small.total_s < p_ref.total_s / 4
 
@@ -296,7 +328,7 @@ class TestPerfModel:
             assert batched.other_s == pytest.approx(base.other_s, rel=1e-12)
 
     def test_predict_batch_scales_linearly(self, pm):
-        """The kernel schedule is linear in batch, so service time is too
+        """DDnet's counts are linear in batch, so service time is too
         — the amortization the serving batcher exploits is in launch
         overheads and queueing, not in the roofline itself."""
         t1 = pm.predict_batch(NVIDIA_V100, batch=1).total_s
@@ -373,16 +405,13 @@ class TestInferenceEngine:
         b, _ = InferenceEngine(net, INTEL_XEON_6128, OptimizationConfig.baseline()).run(x)
         assert np.allclose(a, b, atol=1e-12)
 
-    def test_trace_counts_match_schedule(self, net, rng):
-        x = rng.random((1, 1, 16, 16))
-        _, trace = InferenceEngine(net, NVIDIA_V100).run(x)
-        expected = schedule_totals(ddnet_kernel_schedule(
-            input_size=16, batch=1, base_channels=4, growth=4,
-            num_blocks=2, layers_per_block=2, dense_kernel=3, deconv_kernel=3,
-        ))
-        got = trace.group_counts()
-        assert got["convolution"].flops == expected["convolution"].flops
-        assert got["deconvolution"].flops == expected["deconvolution"].flops
+    def test_trace_counts_match_schedule(self, ddnet, rng):
+        """The default DDnet's trace, grouped as Table 5, is the perf
+        model's count table at the same shape."""
+        _, trace = InferenceEngine(ddnet, NVIDIA_V100).run(rng.random((1, 1, 32, 32)))
+        totals = ddnet_totals(32, 1)
+        assert trace.group_counts() == {
+            g: totals[g] for g in ("convolution", "deconvolution", "other")}
 
     def test_modelled_time_grows_with_workload(self, net, rng):
         eng = InferenceEngine(net, INTEL_XEON_6128)
@@ -449,11 +478,9 @@ def _engine_nets():
 class TestInferenceEngineTrace:
     # sha256 over every launch's (kind, loads, stores, flops,
     # time_s.hex()) and every run's modelled_time_s.hex(), for both
-    # nets x 6 devices x (Table 7 ladder + FPGA-full).  Recorded from
-    # the hand-written DDnet schedule the engine ran before it priced
-    # the model's own dispatches; the sites are left out (they became
-    # module paths), the output bits too (BLAS-dependent).
-    TRACE_PIN = "c54ce8a229569876a79f8cf812bfb844577ba640116185e5fe0f051ab140800f"
+    # nets x 6 devices x (Table 7 ladder + FPGA-full); the sites are
+    # left out, the output bits too (BLAS-dependent).
+    TRACE_PIN = "2dd4eafbe6a50b9c1d5c81c6b147e0c86d956f33fa64ae90af9394fad8ca2f36"
 
     def test_launch_trace_pin(self):
         import hashlib
@@ -478,21 +505,57 @@ class TestInferenceEngineTrace:
         assert runs == 60
         assert digest.hexdigest() == self.TRACE_PIN
 
-    def test_naive_arm_charges_the_schedules_scatter_counts(self):
-        for (net, x), (size, batch) in zip(_engine_nets(), ((16, 1), (32, 2))):
+    def test_naive_arm_charges_the_schedules_scatter_counts(self, monkeypatch):
+        """The Fig. 9a arm charges each deconvolution Table 6's scatter
+        counts at the input that layer really received."""
+        from repro import nn
+
+        for net, x in _engine_nets():
+            inputs = {}
+            for name, m in net.named_modules():
+                if isinstance(m, nn.ConvTranspose2d):
+                    def seen(h, name=name, forward=m.forward):
+                        inputs[name] = h.shape
+                        return forward(h)
+                    monkeypatch.setattr(m, "forward", seen)
             _, trace = InferenceEngine(
                 net, INTEL_XEON_6128, OptimizationConfig.baseline()).run(x)
-            dense_kernel = net.blocks[0].layers[0].conv2.kernel_size
-            expected = schedule_totals(ddnet_kernel_schedule(
-                input_size=size, batch=batch, base_channels=net.base_channels,
-                growth=net.growth, num_blocks=net.num_blocks,
-                layers_per_block=net.layers_per_block, dense_kernel=dense_kernel,
-                deconv_kernel=net.deconvs_a[0].deconv.kernel_size,
-                naive_deconv=True))["deconvolution"]
-            got = trace.group_counts()["deconvolution"]
-            assert (got.loads, got.stores, got.flops) == (
-                expected.loads, expected.stores, expected.flops)
+            naive = {e.payload["site"]: e.payload["counts"] for e in trace.events()
+                     if e.payload["op"] == "deconvolution_naive"}
+            assert len(naive) == 2 * net.num_blocks
+            assert set(naive) == set(inputs)
+            modules = dict(net.named_modules())
+            for site, counts in naive.items():
+                w = modules[site].weight.data
+                shape = inputs[site]
+                assert counts == deconv_naive_counts_nd(
+                    shape[2:], shape[1], w.shape[1], w.shape[2:], batch=shape[0]), site
             assert "deconvolution" not in trace.counts
+            monkeypatch.undo()
+
+    def test_trace_reads_its_own_events(self, monkeypatch):
+        """On a bus shared by many runs, a trace reads its own launches:
+        no scan of the bus, and the same view as on a private bus."""
+        from repro.telemetry import EventBus
+
+        net, x = _engine_nets()[0]
+        shared = InferenceEngine(net, NVIDIA_V100, bus=EventBus())
+        for _ in range(20):
+            shared.run(x)
+        _, last = shared.run(x)
+        _, alone = InferenceEngine(net, NVIDIA_V100).run(x)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("ExecutionTrace scanned the bus")
+
+        monkeypatch.setattr(EventBus, "of_kind", no_scan)
+        assert len(shared.bus.events) > 21 * len(alone.launches)
+        assert last.launches == alone.launches
+        assert last.counts == alone.counts
+        assert last.group_counts() == alone.group_counts()
+        assert last.modelled_time_s == alone.modelled_time_s
+        assert [e.payload["trace"] for e in last.events()] == (
+            [last.trace_id] * len(alone.launches))
 
     def test_sites_are_module_paths_and_repeat(self):
         net, x = _engine_nets()[0]
