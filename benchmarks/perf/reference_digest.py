@@ -39,7 +39,7 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 #: Recorded on a 2-core Intel Xeon, Python 3.11, NumPy 2.4.6, SciPy
 #: 1.17.1, one OpenBLAS thread.
 RECORDED = {
-    "diagnosis": "02e8d5fea8723e825f6a1accae0213f74c5f70770fae251e6e843c7286ad49d4",
+    "diagnosis": "3ca6de93e59f5054607174bd5d44e141f706e7547742fe74bca979b1fd922953",
     "training": "48c86c3c3e2581868b7b7dc310900048581de9fba8738fb05252dcd05ef73597",
 }
 

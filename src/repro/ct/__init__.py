@@ -5,12 +5,14 @@ its low-dose training data:
 
 1. geometry definition — fan-beam (paper: SDD 1500 mm, SOD 1000 mm,
    720 views over 360°, 1024 detector pixels) and parallel-beam,
-2. Siddon's exact ray-driven forward projection (vectorized over rays;
-   the traversal is traced once per geometry and cached),
+2. Siddon's exact ray-driven forward projection (traced once per
+   geometry into a cached sparse operator, applied to a whole volume
+   in one product),
 3. Beer's-law photon statistics with Poisson noise
    (``P_i ~ Poisson(b_i · e^{−l_i})``, blank scan ``b_i = 10⁶``),
 4. filtered back projection (FBP) reconstruction with ramp/Hann filters
-   for both geometries (per-pixel detector positions cached per geometry),
+   for both geometries (batched ramp filtering, then one cached sparse
+   back-projection operator per geometry),
 5. Hounsfield-unit conversions (60 keV monochromatic beam).
 """
 

@@ -92,12 +92,6 @@ class FanBeamGeometry:
         n = self.num_detectors
         return (np.arange(n) - (n - 1) / 2.0) * self.detector_spacing
 
-    @property
-    def fan_half_angle(self) -> float:
-        """Half opening angle of the fan (radians)."""
-        half_width = self.detector_coords[-1]
-        return float(np.arctan2(abs(half_width), self.source_to_detector))
-
     def source_position(self, view: int) -> np.ndarray:
         beta = self.angles[view]
         return self.source_to_isocenter * np.array([np.cos(beta), np.sin(beta)])

@@ -5,7 +5,7 @@ iterative reconstruction; DDnet itself was introduced for *sparse-view*
 CT (Zhang et al. 2018).  This module supplies both comparators:
 
 - :func:`siddon_backproject` — the exact adjoint of the Siddon
-  projector (length-weighted scatter over the same ray table),
+  projector (the transpose of the same ray matrix),
 - :func:`sart_reconstruct` — Simultaneous Algebraic Reconstruction
   Technique with per-view sweeps and standard row/column normalization,
 - :func:`subsample_views` — derive a sparse-view geometry from a full
@@ -21,8 +21,8 @@ from typing import Union
 import numpy as np
 
 from repro.ct.geometry import FanBeamGeometry, ParallelBeamGeometry
-from repro.ct.projector import projection_tables
-from repro.ct.siddon import ray_backproject, ray_integrals, siddon_rays
+from repro.ct.projector import projection_operator
+from repro.ct.siddon import ray_matrix, siddon_rays
 
 Geometry = Union[FanBeamGeometry, ParallelBeamGeometry]
 
@@ -37,13 +37,14 @@ def siddon_backproject(
     """Adjoint of :func:`~repro.ct.siddon.siddon_raycast`: scatter ray values into pixels.
 
     Each ray deposits ``value · segment_length`` into every pixel it
-    crosses.  Both directions share one traversal
-    (:func:`~repro.ct.siddon.siddon_rays`), so ``<A x, y> == <x, A^T y>``
+    crosses.  Both directions share one ray matrix
+    (:func:`~repro.ct.siddon.ray_matrix`), so ``<A x, y> == <x, A^T y>``
     holds to rounding for every ray, axis-parallel ones included (tested).
     """
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    table = siddon_rays(starts, ends, image_shape, pixel_size)
-    return ray_backproject(values, table, image_shape)
+    ny, nx = image_shape
+    matrix = ray_matrix(siddon_rays(starts, ends, image_shape, pixel_size), ny * nx)
+    return (matrix.T @ values).reshape(ny, nx)
 
 
 def sart_reconstruct(
@@ -72,19 +73,19 @@ def sart_reconstruct(
         raise ValueError("iterations must be >= 1")
     n = image_size
     x = np.zeros((n, n)) if initial is None else initial.astype(np.float64).copy()
-    ones = np.ones((n, n))
-    # Per-view ray tables (shared with forward_project), row and column sums.
+    # Per-view row blocks of forward_project's operator, with their row
+    # and column sums.
+    operator = projection_operator(geometry, (n, n), pixel_size)
+    d = geometry.num_detectors
     views = []
-    for table in projection_tables(geometry, (n, n), pixel_size):
-        row_sums = ray_integrals(ones, table)
-        col_sums = ray_backproject(np.ones(len(row_sums)), table, (n, n))
-        views.append((table, np.maximum(row_sums, 1e-9), np.maximum(col_sums, 1e-9)))
+    for v in range(geometry.num_views):
+        block = operator[v * d:(v + 1) * d]
+        views.append((block, np.maximum(block.sum(axis=1), 1e-9),
+                       np.maximum(block.sum(axis=0), 1e-9).reshape(n, n)))
     for _ in range(iterations):
-        for v, (table, row_sums, col_sums) in enumerate(views):
-            forward = ray_integrals(x, table)
-            residual = (sinogram[v] - forward) / row_sums
-            update = ray_backproject(residual, table, (n, n))
-            x += relaxation * update / col_sums
+        for v, (block, row_sums, col_sums) in enumerate(views):
+            residual = (sinogram[v] - block @ x.ravel()) / row_sums
+            x += relaxation * (block.T @ residual).reshape(n, n) / col_sums
             if nonnegativity:
                 np.maximum(x, 0.0, out=x)
     return x

@@ -9,12 +9,12 @@ maximal mid-thorax), and COVID lesions span several adjacent slices so
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.data.lesions import COVID_LESION_TYPES, add_lesion
-from repro.data.phantom import ChestPhantomConfig, chest_slice, slice_masks
+from repro.data.phantom import ChestPhantomConfig, chest_slice
 
 #: Lesion menus per disease (``disease`` argument of :func:`chest_volume`).
 DISEASE_LESIONS = {
@@ -111,14 +111,3 @@ def chest_volume(
         return volume, lesion_mask
     return volume
 
-
-def lung_mask_volume(volume_shape: Tuple[int, int, int], config: ChestPhantomConfig,
-                     anatomy_seed: int) -> np.ndarray:
-    """Recompute the per-slice lung masks for a generated volume."""
-    num_slices, size, _ = volume_shape
-    profile = _lung_profile(num_slices)
-    masks = np.empty(volume_shape, dtype=bool)
-    for z in range(num_slices):
-        slice_rng = np.random.default_rng(anatomy_seed)
-        masks[z] = slice_masks(config, slice_rng, lung_scale=profile[z])["lungs"]
-    return masks

@@ -15,8 +15,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.ct import add_poisson_noise, fbp_reconstruct, forward_project
+from repro.ct.sinogram import build_geometry_tables
 from repro.data.phantom import HU_AIR
-from repro.parallel.pool import parallel_map, resolve_workers
+from repro.parallel.pool import chunk_indices, parallel_map, resolve_workers
 from repro.parallel.seeding import spawn_seeds
 from repro.parallel.shm import ShmArray, shm_scope
 
@@ -113,53 +115,65 @@ def prepare_scan(
         return dst.copy()
 
 
-def _simulate_slice_into(
-    item: Tuple[int, np.random.SeedSequence],
+def _simulate_slab_into(
+    item: Tuple[range, List[np.random.SeedSequence]],
     src: ShmArray,
-    full: ShmArray,
-    low: ShmArray,
+    outs: List[ShmArray],
     geometry,
-    blank_scan: float,
+    blank_scans: Tuple[Optional[float], ...],
     pixel_size: float,
     filter_window: str,
-) -> int:
-    """Fan-out work item: §3.1.2 low-dose chain on one shared slice."""
-    from repro.ct.sinogram import simulate_low_dose_pair
+) -> range:
+    """Fan-out work item: the §3.1.2 chain on a slab of shared slices.
 
-    z, seed = item
-    full_z, low_z, _ = simulate_low_dose_pair(
-        src.asarray()[z], geometry, blank_scan=blank_scan,
-        pixel_size=pixel_size, filter_window=filter_window,
-        rng=np.random.default_rng(seed),
-    )
-    full.asarray()[z] = full_z
-    low.asarray()[z] = low_z
-    return z
+    Each entry of ``blank_scans`` is one output arm: ``None``
+    reconstructs the clean sinogram, a photon count its Poisson-noised
+    copy.  The noisy arms draw in order from each slice's own generator.
+    """
+    slab, seeds = item
+    clean = forward_project(src.asarray()[slab.start:slab.stop], geometry, pixel_size)
+    arms = np.empty((len(blank_scans),) + clean.shape)
+    for z, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for arm, blank_scan in zip(arms, blank_scans):
+            arm[z] = (clean[z] if blank_scan is None
+                      else add_poisson_noise(clean[z], blank_scan, rng=rng))
+    recon = fbp_reconstruct(arms.reshape((-1,) + clean.shape[1:]), geometry,
+                            src.shape[1], pixel_size, filter_window)
+    for out, arm in zip(outs, np.split(recon, len(blank_scans))):
+        out.asarray()[slab.start:slab.stop] = arm
+    return slab
 
 
-def _dose_fraction_slice_into(
-    item: Tuple[int, np.random.SeedSequence],
-    src: ShmArray,
-    full: ShmArray,
-    frac: ShmArray,
-    geometry,
-    full_blank_scan: float,
-    dose_fraction: float,
-    pixel_size: float,
-    filter_window: str,
-) -> int:
-    """Fan-out work item: Mayo full/fractional-dose pair on one slice."""
-    from repro.ct.sinogram import simulate_dose_fraction_pair
+def _simulate_volume(volume_mu, geometry, blank_scans, pixel_size, filter_window,
+                     seed, workers, bus) -> Tuple[np.ndarray, ...]:
+    """One reconstructed volume per entry of ``blank_scans``, slab by slab.
 
-    z, seed = item
-    full_z, frac_z = simulate_dose_fraction_pair(
-        src.asarray()[z], geometry, full_blank_scan=full_blank_scan,
-        dose_fraction=dose_fraction, pixel_size=pixel_size,
-        filter_window=filter_window, rng=np.random.default_rng(seed),
-    )
-    full.asarray()[z] = full_z
-    frac.asarray()[z] = frac_z
-    return z
+    ``workers=N`` cuts the volume into ``N`` contiguous slabs across
+    processes, with the input and the reconstructions in shared memory.
+    Each slice keeps its own :class:`~numpy.random.SeedSequence` child of
+    ``seed``, and each slab is one column block of the operators'
+    products, so no output depends on the cut.  The operators are built
+    before any fork, so workers inherit them.
+    """
+    volume_mu = np.asarray(volume_mu, dtype=np.float64)
+    if volume_mu.ndim != 3:
+        raise ValueError(f"expected (D, H, W) volume; got shape {volume_mu.shape}")
+    if volume_mu.shape[1] != volume_mu.shape[2]:
+        raise ValueError("FBP reconstruction needs square slices")
+    build_geometry_tables(geometry, volume_mu.shape[1], pixel_size)
+    seeds = spawn_seeds(seed, volume_mu.shape[0])
+    slabs = [(r, seeds[r.start:r.stop])
+             for r in chunk_indices(volume_mu.shape[0], resolve_workers(workers))]
+    with shm_scope() as scope:
+        src = scope.share(volume_mu)
+        outs = [scope.create(volume_mu.shape, np.float64) for _ in blank_scans]
+        parallel_map(
+            partial(_simulate_slab_into, src=src, outs=outs, geometry=geometry,
+                    blank_scans=blank_scans, pixel_size=pixel_size,
+                    filter_window=filter_window),
+            slabs, workers=workers, bus=bus, source="repro.data.simulate")
+        return tuple(out.copy() for out in outs)
 
 
 def simulate_low_dose_volume(
@@ -174,37 +188,19 @@ def simulate_low_dose_volume(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run :func:`repro.ct.simulate_low_dose_pair` on every slice of a scan.
 
-    The volume-scale version of the §3.1.2 recipe — forward project,
-    Poisson-corrupt, FBP-reconstruct, slice by slice — fanned across
-    ``workers`` processes with the input and both reconstructions in
-    shared memory.  Each slice draws from its own
+    The volume-scale version of the §3.1.2 recipe: one forward
+    projection of the whole volume, Poisson noise slice by slice, and
+    one FBP of both dose arms of every slice, fanned across ``workers``
+    processes in contiguous slabs.  Each slice draws from its own
     :class:`~numpy.random.SeedSequence` child of ``seed``, so outputs
-    are bit-identical for every worker count.
+    are bit-identical for every worker count, and each slice equals
+    :func:`~repro.ct.simulate_low_dose_pair` on it bit for bit.
 
     Returns ``(full_dose, low_dose)`` attenuation volumes of
     ``volume_mu``'s shape.
     """
-    volume_mu = np.asarray(volume_mu, dtype=np.float64)
-    if volume_mu.ndim != 3:
-        raise ValueError(f"expected (D, H, W) volume; got shape {volume_mu.shape}")
-    if volume_mu.shape[1] != volume_mu.shape[2]:
-        raise ValueError("FBP reconstruction needs square slices")
-    from repro.ct.sinogram import build_geometry_tables
-
-    depth = volume_mu.shape[0]
-    seeds = spawn_seeds(seed, depth)
-    build_geometry_tables(geometry, volume_mu.shape[1], pixel_size)  # before the fork
-    with shm_scope() as scope:
-        src = scope.share(volume_mu)
-        full = scope.create(volume_mu.shape, np.float64)
-        low = scope.create(volume_mu.shape, np.float64)
-        parallel_map(
-            partial(_simulate_slice_into, src=src, full=full, low=low,
-                    geometry=geometry, blank_scan=blank_scan,
-                    pixel_size=pixel_size, filter_window=filter_window),
-            list(enumerate(seeds)), workers=workers, bus=bus,
-            source="repro.data.simulate")
-        return full.copy(), low.copy()
+    return _simulate_volume(volume_mu, geometry, (None, blank_scan), pixel_size,
+                            filter_window, seed, workers, bus)
 
 
 def simulate_dose_fraction_volume(
@@ -222,29 +218,12 @@ def simulate_dose_fraction_volume(
 
     Volume-scale :func:`repro.ct.simulate_dose_fraction_pair` — both
     arms Poisson-noised, the second at ``dose_fraction`` of the photons
-    (Table 1's full/quarter-dose archive) — with the same shared-memory
-    fan-out and per-slice seeding as :func:`simulate_low_dose_volume`,
-    so outputs are bit-identical for every worker count.
+    (Table 1's full/quarter-dose archive) — with the same slab fan-out
+    and per-slice seeding as :func:`simulate_low_dose_volume`, so
+    outputs are bit-identical for every worker count.
     """
-    volume_mu = np.asarray(volume_mu, dtype=np.float64)
-    if volume_mu.ndim != 3:
-        raise ValueError(f"expected (D, H, W) volume; got shape {volume_mu.shape}")
-    if volume_mu.shape[1] != volume_mu.shape[2]:
-        raise ValueError("FBP reconstruction needs square slices")
-    from repro.ct.sinogram import build_geometry_tables
-
-    depth = volume_mu.shape[0]
-    seeds = spawn_seeds(seed, depth)
-    build_geometry_tables(geometry, volume_mu.shape[1], pixel_size)  # before the fork
-    with shm_scope() as scope:
-        src = scope.share(volume_mu)
-        full = scope.create(volume_mu.shape, np.float64)
-        frac = scope.create(volume_mu.shape, np.float64)
-        parallel_map(
-            partial(_dose_fraction_slice_into, src=src, full=full, frac=frac,
-                    geometry=geometry, full_blank_scan=full_blank_scan,
-                    dose_fraction=dose_fraction, pixel_size=pixel_size,
-                    filter_window=filter_window),
-            list(enumerate(seeds)), workers=workers, bus=bus,
-            source="repro.data.simulate")
-        return full.copy(), frac.copy()
+    if not 0.0 < dose_fraction <= 1.0:
+        raise ValueError(f"dose_fraction must be in (0, 1]; got {dose_fraction}")
+    return _simulate_volume(volume_mu, geometry,
+                            (full_blank_scan, full_blank_scan * dose_fraction),
+                            pixel_size, filter_window, seed, workers, bus)

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.backend.counters import OpCounts, batchnorm_counts
 from repro.backend.registry import dispatch, register_kernel
-from repro.tensor.tensor import Tensor, as_tensor
+from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled
 
 
 # ---------------------------------------------------------------------------
@@ -37,20 +37,31 @@ def batchnorm_forward(
     Returns ``(out, x_hat, inv_std)``; the latter two feed the backward
     pass without recomputation.  ``(x - mean)·inv_std`` and
     ``gamma·x_hat + beta`` each write their second operation into the
-    first one's buffer when its result has that buffer's dtype.
+    first one's buffer when its result has that buffer's dtype.  When no
+    gradient is recorded nothing reads ``x_hat``, so ``gamma·x_hat``
+    is written into ``x_hat``'s own buffer too (where dtypes allow) and
+    ``x_hat`` is returned as ``None``.
     """
     shape = (1, -1) + (1,) * (x.ndim - 2)
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = _into(np.multiply, x - mean.reshape(shape), inv_std.reshape(shape))
-    out = _into(np.add, gamma.reshape(shape) * x_hat, beta.reshape(shape))
-    return out, x_hat, inv_std
+    gamma = gamma.reshape(shape)
+    if is_grad_enabled():
+        scaled = gamma * x_hat
+    else:
+        scaled = np.multiply(gamma, x_hat, out=x_hat if _fits(x_hat, gamma) else None)
+        x_hat = None
+    return _into(np.add, scaled, beta.reshape(shape)), x_hat, inv_std
+
+
+def _fits(buf: np.ndarray, operand: np.ndarray) -> bool:
+    """Whether an op of ``buf`` and ``operand`` has ``buf``'s dtype."""
+    return np.result_type(buf, operand) == buf.dtype
 
 
 def _into(ufunc, buf: np.ndarray, operand: np.ndarray) -> np.ndarray:
     """``ufunc(buf, operand)``, written into ``buf`` when dtypes allow."""
-    if np.result_type(buf, operand) == buf.dtype:
-        return ufunc(buf, operand, out=buf)
-    return ufunc(buf, operand)
+    return ufunc(buf, operand, out=buf if _fits(buf, operand) else None)
 
 
 def _batchnorm_dispatch_counts(result, x, *args, **kwargs) -> OpCounts:

@@ -13,6 +13,7 @@ recorded digest of the full-size run lives in
 
 import importlib.util
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.backend.registry import REGISTRY
 from repro.nn import LeakyReLU
 from repro.tensor.ops_activation import leaky_relu_forward
 from repro.tensor.ops_norm import batchnorm_forward
+from repro.tensor import no_grad
 from repro.tensor.ops_pool import max_pool_nd_forward
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -127,6 +129,12 @@ class TestOnePassKernelsMatchTheirExpressions:
         want = four_pass_batchnorm(x, mean, var, gamma, beta, 1e-5)
         for g, w in zip(got, want):
             assert_bits_equal(g, w)
+        # Without a gradient x_hat is dropped and the output is unchanged.
+        with no_grad():
+            out, x_hat, inv_std = batchnorm_forward(x, mean, var, gamma, beta, 1e-5)
+        assert x_hat is None
+        assert_bits_equal(out, want[0])
+        assert_bits_equal(inv_std, want[2])
 
 
 @pytest.mark.parametrize("slope", [0.0, -0.5, 1.5, np.nan])
@@ -141,6 +149,25 @@ def test_leaky_relu_rejects_slopes_outside_zero_to_one(slope):
 def test_leaky_relu_zero_dim_and_integer_inputs():
     for x in (np.array(-2.0), np.array(3.0, dtype=np.float32), np.arange(-3, 4)):
         assert_bits_equal(leaky_relu_forward(x, 0.01), where_leaky(x, 0.01))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_batchnorm_without_grad_allocates_only_its_output(dtype):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2, 16, 64, 64)).astype(dtype)
+    stats = [rng.random(16).astype(dtype) for _ in range(4)]
+
+    def peak_bytes():
+        tracemalloc.start()
+        try:
+            batchnorm_forward(x, *stats)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with no_grad():  # the output, plus at most NumPy's fixed ufunc buffer
+        assert peak_bytes() < 1.2 * x.nbytes
+    assert peak_bytes() >= 2 * x.nbytes  # the training path keeps x_hat
 
 
 def test_batchnorm_leaves_its_inputs_alone():
