@@ -1,4 +1,4 @@
-"""The ``fast`` kernel backend: FFT convolution and deconvolution.
+"""The ``fast`` kernel backend: each convolution on the kernel that wins for its shape.
 
 ``fast`` trades ``reference``'s exact evaluation order for an
 algorithmic win and is held to the **ulp tier** instead
@@ -6,11 +6,18 @@ algorithmic win and is held to the **ulp tier** instead
 dtype-aware relative tolerance, which the parity property grid and
 ``repro bench kernels`` enforce on every run.
 
-What it does differently:
+What it does differently: every ``conv`` and ``deconv`` call goes
+through one shape rule, :func:`route`, which picks its kernel from the
+taps, stride, padding and input channels:
 
-- **FFT convolution** — stride-1 convolutions whose kernels have at
-  least :data:`FFT_CROSSOVER_ELEMS` taps (the 5×5 DDnet layers, any 3-d
-  kernel) are executed as an rfftn-domain pointwise contraction: the
+- **pointwise GEMM** — a 1×1 (or 1×1×1) conv or deconv with stride 1,
+  padding 0 and the input's spatial shape is one batched matmul on the
+  channel-major layout, ``w.reshape(F, C) @ x.reshape(N, C, -1)`` (the
+  transposed filter for a deconvolution), with no im2col copy.
+- **FFT convolution** — stride-1 convolutions with more than one input
+  channel whose kernels have at least :data:`FFT_CROSSOVER_ELEMS` taps
+  (the 5×5 DDnet layers, any 3-d kernel) are executed as an
+  rfftn-domain pointwise contraction: the
   padded cross-correlation is the slice ``[k-1-p, H+p)`` of the full
   linear convolution of the *unpadded* input with the spatially flipped
   kernel.  The FFTs run at the shortest length whose circular wrap
@@ -31,21 +38,23 @@ What it does differently:
   every scan of a serving batch — pays the filter FFT once.
   Invalidated through :func:`repro.backend.registry.clear_kernel_caches`
   like every other weight-derived cache.
-- **FFT deconvolution** — the stride-1 transposed convolution is the
-  slice ``[p, p+H)`` of the full linear convolution of the gradient
-  (spatial ``G``) with the (unflipped) kernel, contracted over the
-  filter axis, at the shortest 5-smooth length ``≥ G+k-1-p``; same
-  cache.
+- **FFT deconvolution** — under ``no_grad``, a stride-1 transposed
+  convolution that passes the same rule is the slice ``[p, p+H)`` of
+  the full linear convolution of the gradient (spatial ``G``) with the
+  (unflipped) kernel, contracted over the filter axis, at the shortest
+  5-smooth length ``≥ G+k-1-p``; same cache.
 - **fused unpool + deconvolution** (``unpool_deconv``) — the Fig. 9
-  decoder pair feeds the up-sampled map straight into the FFT
+  decoder pair feeds the up-sampled map straight into the routed
   deconvolution (see :mod:`repro.tensor.ops_fused`).
 
-Everything the FFT path does not cover runs the ``reference`` kernels
-directly, so it is bit-identical to ``reference``: the training path
-(``want_cols=True`` needs the im2col buffer for the weight gradient),
-convolutions and deconvolutions below the tap crossover, with a
-stride or with a padding of ``k`` or more, and the ops in
-:data:`FALLBACK_OPS` — the explicit declaration the backend lint
+Everything else runs the ``reference`` kernels directly, so it is
+bit-identical to ``reference``: the training path (``want_cols=True``
+needs the im2col buffer for the weight gradient, and a deconvolution
+under autograd has no cached filter transform), calls with one input
+channel (DDnet's and DenseNet3D's stems: nothing for the FFT to
+contract over), convolutions and deconvolutions below the tap
+crossover, with a stride or with a padding of ``k`` or more, and the
+ops in :data:`FALLBACK_OPS` — the explicit declaration the backend lint
 checks, so an op can never *silently* lack a fast path.
 """
 
@@ -74,7 +83,7 @@ from repro.tensor.ops_pool import (
 )
 
 #: Kernel-tap count at which the FFT path overtakes reference im2col on
-#: the DDnet shapes (microbenchmarked; see the crossover table in
+#: the DDnet shapes (microbenchmarked; see the routing table in
 #: docs/backends.md).  5×5 = 25 taps is exactly the paper's hot kernel.
 FFT_CROSSOVER_ELEMS = 25
 
@@ -102,19 +111,32 @@ def next_fast_len(n: int) -> int:
     return best
 
 
-def fft_eligible(kernel: Tuple[int, ...], stride: Tuple[int, ...],
-                 padding: Tuple[int, ...]) -> bool:
-    """Whether the FFT path handles (and should handle) this conv.
+def route(kernel: Tuple[int, ...], stride: Tuple[int, ...], padding: Tuple[int, ...],
+          channels: int, resized: bool = False, grad: bool = False) -> str:
+    """The kernel that runs one ``fast`` conv or deconv, by its shape:
+    ``"reference"``, ``"gemm"`` or ``"fft"``, as the module docstring
+    lays out.
 
-    A padding of ``k`` or more puts the kept slice's start before the
-    linear convolution's, which the shortest-length rule (see
-    :func:`_fft_correlate`) does not cover; those go to ``reference``.
+    ``channels`` is the axis the call contracts (``C`` for a conv, ``F``
+    for a deconv); ``resized`` says the output's spatial shape differs
+    from the input's (a deconvolution's output padding); ``grad`` marks
+    the training path (a conv that must hand back its im2col buffer, a
+    deconvolution under autograd).  A padding of ``k`` or more stays off
+    the FFT: it puts the kept slice's start before the linear
+    convolution's, which the shortest-length rule of
+    :func:`_fft_correlate` does not cover.
     """
-    taps = 1
-    for k in kernel:
-        taps *= int(k)
-    return (all(s == 1 for s in stride) and taps >= FFT_CROSSOVER_ELEMS
-            and all(p < k for p, k in zip(padding, kernel)))
+    if grad or channels == 1:
+        return "reference"
+    if all(s == 1 for s in stride):
+        if not resized and all(k == 1 for k in kernel) and all(p == 0 for p in padding):
+            return "gemm"
+        taps = 1
+        for k in kernel:
+            taps *= int(k)
+        if taps >= FFT_CROSSOVER_ELEMS and all(p < k for p, k in zip(padding, kernel)):
+            return "fft"
+    return "reference"
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +238,32 @@ def _fft_correlate(x: np.ndarray, w: np.ndarray, padding: Tuple[int, ...]) -> np
     return _fft_filter(x, w, fshape, True, keep)
 
 
+def _pointwise(x: np.ndarray, w2: np.ndarray, out_shape: Tuple[int, ...]) -> np.ndarray:
+    """``w2 @ x`` over the channel axis of an ``(N, A, *spatial)`` array:
+    one batched GEMM ``(B, A) @ (N, A, S)`` on the channel-major layout."""
+    return np.matmul(w2, x.reshape(x.shape[:2] + (-1,))).reshape(out_shape)
+
+
 def conv_nd_forward_fast(
     x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray], stride, padding,
     want_cols: bool = True,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], Tuple[int, ...]]:
-    """Fast conv: FFT above the tap crossover, reference im2col below.
+    """Fast conv on the kernel :func:`route` picks for its shape.
 
     ``want_cols=True`` (the training path needs the patch buffer for
-    the weight gradient) also runs the reference kernel — the FFT path
-    has no im2col buffer to hand back.
+    the weight gradient) runs the reference kernel — neither the FFT
+    nor the pointwise GEMM has an im2col buffer to hand back.
     """
     nd = w.ndim - 2
     stride_t = _tuplify(stride, nd)
     padding_t = _tuplify(padding, nd)
-    if want_cols or not fft_eligible(w.shape[2:], stride_t, padding_t):
+    path = route(w.shape[2:], stride_t, padding_t, w.shape[1], grad=want_cols)
+    if path == "reference":
         return conv_nd_forward(x, w, bias, stride_t, padding_t, want_cols=want_cols)
-    out = _fft_correlate(x, w, padding_t)
+    if path == "gemm":
+        out = _pointwise(x, w.reshape(w.shape[:2]), (x.shape[0], w.shape[0]) + x.shape[2:])
+    else:
+        out = _fft_correlate(x, w, padding_t)
     if bias is not None:
         out += bias.reshape((1, -1) + (1,) * nd).astype(out.dtype, copy=False)
     return out, None, out.shape[2:]
@@ -240,24 +272,34 @@ def conv_nd_forward_fast(
 def conv_nd_input_grad_fast(
     g: np.ndarray, w: np.ndarray, x_shape: Tuple[int, ...], stride, padding
 ) -> np.ndarray:
-    """FFT deconvolution (stride-1 transposed conv / conv input grad).
+    """Fast deconvolution (transposed conv / conv input grad) on the
+    kernel :func:`route` picks for its shape.
 
-    The transposed conv of ``g`` (spatial ``G``) is the slice
+    Under autograd it runs ``reference``'s gather or scatter form: with
+    no cached filter transform (training changes the weights every
+    step) the FFT loses there (docs/backends.md).  A pointwise
+    deconvolution is one GEMM with the transposed ``(F, C)`` filter.
+
+    The FFT transposed conv of ``g`` (spatial ``G``) is the slice
     ``[p, p+H)`` of the full linear convolution of ``g`` with the
     *unflipped* kernel (support ``[0, G+k-1)``), contracted over the
     filter axis.  At length ``L ≥ G+k-1-p`` the wrap lands only below
     ``p``, so ``L`` is the shortest 5-smooth length ``≥ G+k-1-p`` (or
     ``≥ H+p``, if an output padding makes ``H`` longer than ``G+k-1-2p``).
-    Strided, sub-crossover and ``p ≥ k`` cases use the reference kernel
-    (its gather or scatter form, whichever the shape selects).
     """
+    from repro.tensor.tensor import is_grad_enabled
+
     nd = w.ndim - 2
     stride_t = _tuplify(stride, nd)
     padding_t = _tuplify(padding, nd)
     kernel = w.shape[2:]
-    if not fft_eligible(kernel, stride_t, padding_t):
+    sp = tuple(x_shape[2:])
+    path = route(kernel, stride_t, padding_t, w.shape[0],
+                 resized=sp != g.shape[2:], grad=is_grad_enabled())
+    if path == "reference":
         return conv_nd_input_grad(g, w, x_shape, stride_t, padding_t)
-    sp = x_shape[2:]
+    if path == "gemm":
+        return _pointwise(g, w.reshape(w.shape[:2]).T, tuple(x_shape))
     fshape = tuple(next_fast_len(max(n + k - 1 - p, h + p))
                    for n, h, p, k in zip(g.shape[2:], sp, padding_t, kernel))
     keep = tuple(slice(p, p + h) for h, p in zip(sp, padding_t))

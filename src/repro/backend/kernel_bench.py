@@ -25,6 +25,7 @@ import numpy as np
 from repro.backend.precision import meets_tier, tier_for
 from repro.backend.registry import dispatch, known_backends, known_ops
 from repro.benchrunner import host_info
+from repro.tensor import no_grad
 
 #: Parity baseline and speedup denominator; always benched even when a
 #: ``backends`` selection omits it.
@@ -47,8 +48,11 @@ def _op_workloads(size: int, rng: np.random.Generator,
     ``maxpool_inference``: ``maxpool`` times the training path (argmax
     indices, 2/2/0), which no diagnosis takes, and ``maxpool_inference``
     the path every pool of a diagnosis takes (no indices, DDnet's 3/2/1
-    window).  ``params["op"]`` names the op.  The 3D paths share the
-    same N-d kernels, so 2D timing is representative while keeping
+    window), and the two conv shapes ``fast`` routes off the FFT, at
+    DDnet's sizes whatever ``size``: ``conv_pointwise`` (a 1×1 conv,
+    one channel GEMM) and ``conv_stem`` (the one-channel 7×7 stem, on
+    ``reference``).  ``params["op"]`` names the op.  The 3D paths share
+    the same N-d kernels, so 2D timing is representative while keeping
     quick mode fast.
     """
     c = 8
@@ -66,11 +70,23 @@ def _op_workloads(size: int, rng: np.random.Generator,
                           backend=BASELINE_BACKEND)
     g = rng.standard_normal((batch, c, size, size))
     up_shape = (batch, c, 2 * size, 2 * size)
+    x_pw = rng.standard_normal((8, 64, 32, 32))
+    w_pw = rng.standard_normal((64, 64, 1, 1))
+    x_stem = rng.standard_normal((8, 1, 64, 64))
+    w_stem = rng.standard_normal((16, 1, 7, 7))
     shape = {"input": list(x.shape), "weight": list(w.shape)}
     elementwise = {"input": list(x.shape)}
     workloads = {
         "conv": (shape, lambda b: dispatch(
             "conv", x, w, bias, 1, k // 2, want_cols=False, backend=b)),
+        "conv_pointwise": (
+            {"op": "conv", "input": list(x_pw.shape), "weight": list(w_pw.shape)},
+            lambda b: dispatch("conv", x_pw, w_pw, None, 1, 0, want_cols=False,
+                               backend=b)),
+        "conv_stem": (
+            {"op": "conv", "input": list(x_stem.shape), "weight": list(w_stem.shape)},
+            lambda b: dispatch("conv", x_stem, w_stem, None, 1, 3, want_cols=False,
+                               backend=b)),
         "deconv": (shape, lambda b: dispatch(
             "deconv", x, w, x.shape, (1, 1), (k // 2, k // 2), backend=b)),
         "conv_weight_grad": (shape, lambda b: dispatch(
@@ -125,8 +141,12 @@ def run_kernel_bench(
 
     ``backends`` defaults to every registered backend; the baseline
     (``reference``) is always included because parity and speedups are
-    defined against it.  ``quick`` shrinks the workload and repeats for
-    CI smoke runs; the parity-tier checks are identical in both modes.
+    defined against it.  Every op runs under ``no_grad``, as a diagnosis
+    runs it (under autograd ``fast`` sends deconvolutions to
+    ``reference``).  The payload's ``host`` record carries the core
+    count the speedups were measured on.  ``quick`` shrinks the
+    workload and repeats for CI smoke runs; the parity-tier checks are
+    identical in both modes.
     """
     from repro.backend.calibrate import calibrate_host
     from repro.parallel.hotpath_bench import median_seconds
@@ -143,29 +163,30 @@ def run_kernel_bench(
         raise RuntimeError(f"kernel bench has no workload for ops: {missing}")
 
     ops: Dict[str, Dict] = {}
-    for name, (params, run) in sorted(workloads.items()):
-        op = params["op"]
-        baseline = run(BASELINE_BACKEND)
-        entry: Dict = {"params": dict(params), "parity": {}}
-        for backend in bench_backends:
-            if backend not in known_backends(op):
-                continue
-            if backend != BASELINE_BACKEND:
-                tier = tier_for(backend)
-                ok = meets_tier(tier, baseline, run(backend))
-                entry["parity"][backend] = {"tier": tier, "ok": bool(ok)}
-            entry[backend] = median_seconds(lambda b=backend: run(b), repeats)
-        ref_s = entry[BASELINE_BACKEND]["median_s"]
-        entry["speedups"] = {
-            b: ref_s / entry[b]["median_s"]
-            for b in bench_backends if b in entry and b != BASELINE_BACKEND
-        }
-        ops[name] = entry
+    with no_grad():
+        for name, (params, run) in sorted(workloads.items()):
+            op = params["op"]
+            baseline = run(BASELINE_BACKEND)
+            entry: Dict = {"params": dict(params), "parity": {}}
+            for backend in bench_backends:
+                if backend not in known_backends(op):
+                    continue
+                if backend != BASELINE_BACKEND:
+                    tier = tier_for(backend)
+                    ok = meets_tier(tier, baseline, run(backend))
+                    entry["parity"][backend] = {"tier": tier, "ok": bool(ok)}
+                entry[backend] = median_seconds(lambda b=backend: run(b), repeats)
+            ref_s = entry[BASELINE_BACKEND]["median_s"]
+            entry["speedups"] = {
+                b: ref_s / entry[b]["median_s"]
+                for b in bench_backends if b in entry and b != BASELINE_BACKEND
+            }
+            ops[name] = entry
 
     parity_ok = all(p["ok"] for e in ops.values() for p in e["parity"].values())
     payload: Dict = {
         "bench": "kernels",
-        "schema": 5,
+        "schema": 6,
         "quick": quick,
         "backends": list(bench_backends),
         "baseline": BASELINE_BACKEND,

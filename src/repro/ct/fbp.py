@@ -68,15 +68,19 @@ def _ramp_filter_cached(n: int, spacing: float, window: str) -> np.ndarray:
     return H
 
 
-def _filter_projections(sino: np.ndarray, spacing: float, window: FilterName) -> np.ndarray:
+def _filter_projections(sino: np.ndarray, spacing: float, window: FilterName,
+                        weight=None) -> np.ndarray:
     """Ramp-filter every projection (the last axis) in one batched real FFT.
 
-    Returns a view of the first ``n`` samples of each filtered projection.
+    ``weight``, when given, multiplies ``sino`` first (the fan-beam
+    cosine weight); the weighted copy lives only until its spectrum is
+    taken.  Returns a view of the first ``n`` samples of each filtered
+    projection.
     """
     n = sino.shape[-1]
     H = ramp_filter_1d(n, spacing, window)
     size = H.shape[0]
-    spectrum = np.fft.rfft(sino, n=size, axis=-1)
+    spectrum = np.fft.rfft(sino if weight is None else sino * weight, n=size, axis=-1)
     spectrum *= spacing * H[: size // 2 + 1]  # H is real and even
     return np.fft.irfft(spectrum, n=size, axis=-1)[..., :n]
 
@@ -169,15 +173,19 @@ def fbp_reconstruct(
     if sinogram.ndim not in (2, 3) or sinogram.shape[-2:] != expected:
         raise ValueError(f"sinogram shape {sinogram.shape} != geometry {expected}")
     spacing = geometry.detector_spacing
+    weight = None
     if not isinstance(geometry, ParallelBeamGeometry):
         # Fan beam (flat detector): scale detector coords to the
         # isocenter and cosine-weight before filtering.
         sod = geometry.source_to_isocenter
         iso_coords = geometry.detector_coords * (sod / geometry.source_to_detector)
         spacing = spacing * (sod / geometry.source_to_detector)
-        sinogram = sinogram * (sod / np.sqrt(sod**2 + iso_coords**2))
-    filtered = _filter_projections(sinogram.reshape((-1,) + expected), spacing, filter_window)
-    # One C-contiguous column per sinogram, copied once.
+        weight = sod / np.sqrt(sod**2 + iso_coords**2)
+    filtered = _filter_projections(sinogram.reshape((-1,) + expected), spacing,
+                                   filter_window, weight)
+    # One C-contiguous column per sinogram, copied once; the full-length
+    # inverse-FFT buffer ``filtered`` views goes before the product.
     columns = np.ascontiguousarray(np.moveaxis(filtered, 0, -1)).reshape(-1, len(filtered))
+    del filtered
     recon = backprojection_operator(geometry, image_size, pixel_size) @ columns
     return recon.T.reshape(sinogram.shape[:-2] + (image_size, image_size))

@@ -28,7 +28,14 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ct import Sinogram, hu_to_mu, mu_to_hu, paper_geometry
+from repro.ct import (
+    add_poisson_noise,
+    fbp_reconstruct,
+    forward_project,
+    hu_to_mu,
+    mu_to_hu,
+    paper_geometry,
+)
 from repro.ct.noise import PAPER_BLANK_SCAN
 from repro.data import chest_volume
 from repro.pipeline.quantification import QuantificationAI, severity_band
@@ -109,26 +116,32 @@ def reconstruct_volume(volume_hu: np.ndarray, scenario: ScanScenario,
                        rng) -> np.ndarray:
     """Push a phantom HU volume through the scenario's scanner.
 
-    Per slice: HU → attenuation, Siddon forward projection under the
-    scenario's geometry, Beer's-law Poisson noise at the scenario's
-    dose, Hann-filtered FBP back to HU, plus the scenario's electronic
-    noise floor.  Deterministic given ``rng``.
+    HU → attenuation, one Siddon forward projection of the whole volume
+    under the scenario's geometry, Beer's-law Poisson noise at the
+    scenario's dose, one Hann-filtered FBP back to HU, plus the
+    scenario's electronic noise floor.  The generator draws slice by
+    slice, slice ``z``'s Poisson noise then its electronic noise, so
+    every slice equals the single-slice chain bit for bit.
+    Deterministic given ``rng``.
     """
     num_slices, size, _ = volume_hu.shape
     base_scale = max(0.05, size / 512.0)
     geometry = paper_geometry(scale=base_scale * scenario.geometry_scale)
     pixel_size = 350.0 / size
     blank = PAPER_BLANK_SCAN * scenario.dose_fraction
-    recon = np.empty_like(volume_hu)
+    sinograms = forward_project(hu_to_mu(volume_hu), geometry, pixel_size)
+    electronic = None
+    if scenario.electronic_noise_hu > 0.0:
+        electronic = np.empty((num_slices, size, size))
     for z in range(num_slices):
-        sino = Sinogram.from_image(hu_to_mu(volume_hu[z]), geometry,
-                                   pixel_size).with_noise(blank, rng=rng)
-        img = mu_to_hu(sino.reconstruct(size, "hann"))
-        if scenario.electronic_noise_hu > 0.0:
-            img = img + rng.normal(0.0, scenario.electronic_noise_hu,
-                                   size=img.shape)
-        recon[z] = img
-    return recon
+        sinograms[z] = add_poisson_noise(sinograms[z], blank, rng=rng)
+        if electronic is not None:
+            electronic[z] = rng.normal(0.0, scenario.electronic_noise_hu,
+                                       size=(size, size))
+    recon = mu_to_hu(fbp_reconstruct(sinograms, geometry, size, pixel_size, "hann"))
+    if electronic is not None:
+        recon += electronic
+    return recon.astype(volume_hu.dtype, copy=False)
 
 
 def _psnr_hu(recon: np.ndarray, truth: np.ndarray) -> float:

@@ -184,12 +184,13 @@ class TestBackendParity:
         _assert_parity(backend, ref, cand, "conv")
 
         g, cols2 = ref[0], ref[1]
-        _assert_parity(
-            backend,
-            dispatch("deconv", g, w, x.shape, stride, padding,
-                     backend="reference"),
-            dispatch("deconv", g, w, x.shape, stride, padding,
-                     backend=backend), "deconv")
+        with no_grad():   # under autograd fast's deconv is reference's
+            _assert_parity(
+                backend,
+                dispatch("deconv", g, w, x.shape, stride, padding,
+                         backend="reference"),
+                dispatch("deconv", g, w, x.shape, stride, padding,
+                         backend=backend), "deconv")
         _assert_parity(
             backend,
             dispatch("conv_weight_grad", cols2, g, w.shape,
@@ -262,18 +263,21 @@ try:
             w = rng.normal(size=(f, c, k, k)).astype(dtype)
             if h + 2 * padding < k or wdt + 2 * padding < k:
                 return
-            ref = dispatch("conv", x, w, None, stride, padding,
-                           want_cols=False, backend="reference")
-            cand = dispatch("conv", x, w, None, stride, padding,
-                            want_cols=False, backend=backend)
-            _assert_parity(backend, ref[0], cand[0], "conv")
-            g = ref[0]
-            _assert_parity(
-                backend,
-                dispatch("deconv", g, w, x.shape, stride, padding,
-                         backend="reference"),
-                dispatch("deconv", g, w, x.shape, stride, padding,
-                         backend=backend), "deconv")
+            # Under no_grad, as inference runs: autograd sends every
+            # deconvolution to reference.
+            with no_grad():
+                ref = dispatch("conv", x, w, None, stride, padding,
+                               want_cols=False, backend="reference")
+                cand = dispatch("conv", x, w, None, stride, padding,
+                                want_cols=False, backend=backend)
+                _assert_parity(backend, ref[0], cand[0], "conv")
+                g = ref[0]
+                _assert_parity(
+                    backend,
+                    dispatch("deconv", g, w, x.shape, stride, padding,
+                             backend="reference"),
+                    dispatch("deconv", g, w, x.shape, stride, padding,
+                             backend=backend), "deconv")
 except ImportError:  # pragma: no cover - hypothesis is in the dev extra
     pass
 
@@ -774,11 +778,16 @@ class TestKernelBench:
 
         payload = run_kernel_bench(quick=True, repeats=1, size=12,
                                    with_calibration=False)
-        assert payload["bench"] == "kernels" and payload["schema"] == 5
+        assert payload["bench"] == "kernels" and payload["schema"] == 6
         assert payload["backends"] == ["reference", "fast"]
-        assert set(payload["ops"]) == set(known_ops()) | {"maxpool_inference"}
+        extra = {"maxpool_inference": "maxpool", "conv_pointwise": "conv",
+                 "conv_stem": "conv"}
+        assert set(payload["ops"]) == set(known_ops()) | set(extra)
         assert {op: e["params"]["op"] for op, e in payload["ops"].items()} == {
-            **{op: op for op in known_ops()}, "maxpool_inference": "maxpool"}
+            **{op: op for op in known_ops()}, **extra}
+        # The two conv shapes fast routes off the FFT, at DDnet's sizes.
+        assert payload["ops"]["conv_pointwise"]["params"]["weight"] == [64, 64, 1, 1]
+        assert payload["ops"]["conv_stem"]["params"]["input"] == [8, 1, 64, 64]
         # The training pool and the pool every diagnosis takes.
         assert payload["ops"]["maxpool"]["params"]["want_indices"] is True
         inference = payload["ops"]["maxpool_inference"]["params"]

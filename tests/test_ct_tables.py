@@ -308,3 +308,39 @@ def test_volume_simulation_builds_tables_before_forking():
     # The workers fill no cache in this process; the parent built both.
     assert projector._projection_cached.cache_info().currsize == 1
     assert fbp._backprojection_cached.cache_info().currsize == 1
+
+
+def _fbp_holding_every_buffer(sinogram, geo, n, pixel_size, window):
+    """``fbp_reconstruct`` as it was before it released its buffers: the
+    weighted sinograms and the inverse-FFT output stay alive through
+    the back projection."""
+    sod = geo.source_to_isocenter
+    iso = geo.detector_coords * (sod / geo.source_to_detector)
+    spacing = geo.detector_spacing * (sod / geo.source_to_detector)
+    weighted = sinogram * (sod / np.sqrt(sod**2 + iso**2))
+    filtered = fbp._filter_projections(weighted, spacing, window)
+    columns = np.ascontiguousarray(np.moveaxis(filtered, 0, -1)).reshape(-1, len(filtered))
+    recon = backprojection_operator(geo, n, pixel_size) @ columns
+    return recon.T.reshape(sinogram.shape[:-2] + (n, n))
+
+
+def test_fbp_releases_its_buffers_before_the_back_projection():
+    """At perfbench's geometry (two 16-slice dose arms), the transient peak
+    above the cached operators falls by at least the weighted sinograms,
+    and the output is unchanged bit for bit."""
+    import tracemalloc
+
+    geo = paper_geometry(64 / 512)
+    pixel_size = 350 / 64
+    build_geometry_tables(geo, 64, pixel_size)
+    sino = np.random.default_rng(0).random((32, geo.num_views, geo.num_detectors))
+    peaks, outs = [], []
+    for run in (_fbp_holding_every_buffer, fbp_reconstruct):
+        tracemalloc.start()
+        try:
+            outs.append(run(sino, geo, 64, pixel_size, "hann"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(outs[0], outs[1])
+    assert peaks[1] <= peaks[0] - sino.nbytes

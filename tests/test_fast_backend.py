@@ -22,8 +22,8 @@ from repro.backend.fast import (
     FFT_CROSSOVER_ELEMS,
     clear_fft_cache,
     fft_cache_size,
-    fft_eligible,
     next_fast_len,
+    route,
 )
 from repro.backend.precision import allclose_ulp, bit_identical
 from repro.backend.registry import (
@@ -64,13 +64,12 @@ class TestCrossover:
     def test_fft_eligibility_crossover(self):
         # 5×5 (the DDnet hot kernel) is exactly at the crossover.
         assert FFT_CROSSOVER_ELEMS == 25
-        assert fft_eligible((5, 5), (1, 1), (2, 2))
-        assert fft_eligible((3, 3, 3), (1, 1, 1), (1, 1, 1))
-        assert fft_eligible((5, 5), (1, 1), (4, 0))
-        assert not fft_eligible((3, 3), (1, 1), (1, 1))   # below crossover
-        assert not fft_eligible((1, 1), (1, 1), (0, 0))
-        assert not fft_eligible((5, 5), (2, 2), (2, 2))   # strided: gather path
-        assert not fft_eligible((5, 5), (1, 1), (5, 2))   # p >= k
+        assert route((5, 5), (1, 1), (2, 2), 2) == "fft"
+        assert route((3, 3, 3), (1, 1, 1), (1, 1, 1), 2) == "fft"
+        assert route((5, 5), (1, 1), (4, 0), 2) == "fft"
+        assert route((3, 3), (1, 1), (1, 1), 2) == "reference"   # below crossover
+        assert route((5, 5), (2, 2), (2, 2), 2) == "reference"   # strided: gather path
+        assert route((5, 5), (1, 1), (5, 2), 2) == "reference"   # p >= k
 
     def test_strided_and_small_kernels_skip_fft(self, rng):
         # Sub-crossover convs must not populate the FFT cache.
@@ -85,6 +84,136 @@ class TestCrossover:
             dispatch("conv", x, w5, None, 1, 2, want_cols=False,
                      backend="fast")
         assert fft_cache_size() == 1
+
+
+class TestRouting:
+    """Each conv and deconv runs on the kernel :func:`route` picks for its
+    shape: pointwise calls as one channel GEMM, one-channel calls and the
+    training path on ``reference``, the rest on the FFT above the tap
+    crossover."""
+
+    def test_route_by_shape(self):
+        assert route((1, 1), (1, 1), (0, 0), 64) == "gemm"
+        assert route((1, 1, 1), (1, 1, 1), (0, 0, 0), 40) == "gemm"
+        assert route((1, 1), (1, 1), (0, 0), 32, resized=True) == "reference"
+        assert route((1, 1), (1, 1), (1, 1), 32) == "reference"
+        assert route((1, 1), (2, 2), (0, 0), 32) == "reference"
+        # One input channel: nothing for the FFT to contract over.
+        assert route((7, 7), (1, 1), (3, 3), 1) == "reference"
+        assert route((3, 3, 3), (1, 1, 1), (1, 1, 1), 1) == "reference"
+        assert route((1, 1), (1, 1), (0, 0), 1) == "reference"
+        # The training path keeps reference whatever the shape.
+        for kernel, padding in (((5, 5), (2, 2)), ((1, 1), (0, 0))):
+            assert route(kernel, (1, 1), padding, 16, grad=True) == "reference"
+
+    @pytest.mark.parametrize("bias", [False, True], ids=["nobias", "bias"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("spatial", [(9, 7), (3, 6, 5)], ids=["2d", "3d"])
+    def test_pointwise_conv_parity(self, rng, spatial, batch, dtype, bias):
+        x = rng.normal(size=(batch, 12) + spatial).astype(dtype)
+        w = rng.normal(size=(5, 12) + (1,) * len(spatial)).astype(dtype)
+        b = rng.normal(size=5).astype(dtype) if bias else None
+        with no_grad():
+            ref, fast = (dispatch("conv", x, w, b, 1, 0, want_cols=False, backend=be)[0]
+                         for be in ("reference", "fast"))
+            g = rng.normal(size=ref.shape).astype(dtype)
+            dref, dfast = (dispatch("deconv", g, w, x.shape, 1, 0, backend=be)
+                           for be in ("reference", "fast"))
+        for r, f in ((ref, fast), (dref, dfast)):
+            assert f.dtype == dtype and f.shape == r.shape and f.flags.c_contiguous
+            assert allclose_ulp(r, f)
+
+    @pytest.mark.parametrize("channels", [(32, 16), (32, 1)], ids=["32to16", "head"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pointwise_deconv_parity(self, rng, channels, dtype):
+        """DDnet's 1×1 transposed convs, bias included, through the
+        autograd op: 32 → 16 and the 32 → 1 head."""
+        cin, cout = channels
+        x = Tensor(rng.normal(size=(2, cin, 16, 16)).astype(dtype))
+        w = Tensor(rng.normal(size=(cin, cout, 1, 1)).astype(dtype))
+        b = Tensor(rng.normal(size=cout).astype(dtype))
+        with no_grad():
+            out = {}
+            for backend in ("reference", "fast"):
+                with use_backend(backend):
+                    out[backend] = F.conv_transpose_nd(x, w, bias=b).data
+        assert out["fast"].shape == (2, cout, 16, 16)
+        assert allclose_ulp(out["reference"], out["fast"])
+
+    def test_output_padding_pointwise_deconv_falls_back(self, rng):
+        g = rng.normal(size=(2, 8, 6, 6))
+        w = rng.normal(size=(8, 4, 1, 1))
+        x_shape = (2, 4, 7, 7)
+        with no_grad():
+            ref, fast = (dispatch("deconv", g, w, x_shape, 1, 0, backend=be)
+                         for be in ("reference", "fast"))
+        assert bit_identical(ref, fast)
+
+    @pytest.mark.parametrize("x_shape,w_shape,padding", [
+        ((8, 1, 64, 64), (16, 1, 7, 7), 3),                # DDnet's stem
+        ((1, 1, 16, 32, 32), (8, 1, 3, 3, 3), 1),          # DenseNet3D's stem
+    ], ids=["ddnet", "densenet3d"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_channel_conv_is_reference(self, rng, x_shape, w_shape, padding, dtype):
+        x = rng.normal(size=x_shape).astype(dtype)
+        w = rng.normal(size=w_shape).astype(dtype)
+        b = rng.normal(size=w_shape[0]).astype(dtype)
+        with no_grad():
+            ref, fast = (dispatch("conv", x, w, b, 1, padding, want_cols=False,
+                                  backend=be)[0] for be in ("reference", "fast"))
+        assert np.array_equal(ref, fast) and ref.dtype == fast.dtype
+        assert fft_cache_size() == 0
+
+    def test_no_fft_for_one_channel_or_pointwise_calls(self, rng, monkeypatch):
+        calls = []
+        real_rfftn = scipy.fft.rfftn
+
+        def spy(a, *args, **kw):
+            calls.append(a.shape)
+            return real_rfftn(a, *args, **kw)
+
+        monkeypatch.setattr(scipy.fft, "rfftn", spy)
+        x1 = rng.normal(size=(2, 1, 16, 16)).astype(np.float32)
+        stem = rng.normal(size=(4, 1, 7, 7)).astype(np.float32)
+        x8 = rng.normal(size=(2, 8, 16, 16)).astype(np.float32)
+        pw = rng.normal(size=(4, 8, 1, 1)).astype(np.float32)
+        with no_grad():
+            dispatch("conv", x1, stem, None, 1, 3, want_cols=False, backend="fast")
+            y = dispatch("conv", x8, pw, None, 1, 0, want_cols=False, backend="fast")[0]
+            dispatch("deconv", y, pw, x8.shape, 1, 0, backend="fast")
+            g1 = rng.normal(size=(2, 1, 16, 16)).astype(np.float32)
+            dispatch("deconv", g1, rng.normal(size=(1, 3, 5, 5)), (2, 3, 16, 16), 1, 2,
+                     backend="fast")
+        assert calls == []
+        with no_grad():
+            dispatch("conv", x8, rng.normal(size=(4, 8, 5, 5)), None, 1, 2,
+                     want_cols=False, backend="fast")
+        assert len(calls) == 2          # the FFT itself still runs: input and filter
+
+    def test_grad_mode_deconv_is_reference(self, rng):
+        g = rng.normal(size=(1, 32, 16, 16))
+        w = rng.normal(size=(32, 32, 5, 5))
+        ref = dispatch("deconv", g, w, (1, 32, 16, 16), 1, 2, backend="reference")
+        fast = dispatch("deconv", g, w, (1, 32, 16, 16), 1, 2, backend="fast")
+        assert bit_identical(ref, fast)
+        with no_grad():
+            fast = dispatch("deconv", g, w, (1, 32, 16, 16), 1, 2, backend="fast")
+        assert fft_cache_size() == 1 and allclose_ulp(ref, fast)
+
+    def test_conv_backward_runs_reference_deconv(self, rng):
+        """A training step's input gradient on ``fast`` is ``reference``'s."""
+        x0 = rng.normal(size=(1, 4, 12, 12))
+        w0 = rng.normal(size=(6, 4, 5, 5))
+        grads = {}
+        for backend in ("reference", "fast"):
+            x = Tensor(x0, requires_grad=True)
+            w = Tensor(w0, requires_grad=True)
+            with use_backend(backend):
+                F.conv_nd(x, w, padding=2).sum().backward()
+            grads[backend] = x.grad
+        assert bit_identical(grads["reference"], grads["fast"])
+        assert fft_cache_size() == 0
 
 
 def _conv_and_deconv(x, w, padding, backend):
@@ -150,7 +279,7 @@ class TestShortestLength:
         assert fft_cache_size() == 1 and allclose_ulp(ref, fast)
 
     def test_grid_covers_the_fft_path(self):
-        eligible = [c for c in GRID if fft_eligible(c[0], (1,) * len(c[0]), c[1])]
+        eligible = [c for c in GRID if route(c[0], (1,) * len(c[0]), c[1], 2) == "fft"]
         assert len(eligible) > len(GRID) // 2
         assert {len(c[0]) for c in eligible} == {2, 3}
 
@@ -405,7 +534,7 @@ class TestFallbacks:
 
     @pytest.mark.parametrize("case", [
         ((1, 3, 7, 6), (4, 3, 3, 3), 1, 1),        # below the crossover
-        ((2, 2, 8, 8), (3, 2, 1, 1), 1, 0),        # 1x1
+        ((2, 2, 8, 8), (3, 2, 1, 1), 1, 1),        # 1x1 with a padding: not pointwise
         ((1, 2, 9, 9), (3, 2, 5, 5), 2, 2),        # strided 5x5
         ((1, 2, 5, 6, 4), (2, 2, 3, 3, 3), 2, 1),  # strided 3-d
     ])
