@@ -2,9 +2,9 @@
 """Kernel-backend perf harness (standalone, not a pytest bench).
 
 Times every op registered in the :mod:`repro.backend` kernel registry
-on the selected backends (median-of-k after warmup), re-proves the
-``fast`` backend's ulp parity tier against ``reference``, fits the
-host's per-op service-time coefficients per backend
+on the selected backends (interleaved round by round, medians after
+warmup), re-proves the ``fast`` backend's ulp parity tier against
+``reference``, fits the host's per-op service-time coefficients per backend
 (:mod:`repro.backend.calibrate`), and writes ``BENCH_kernels.json`` at
 the repo root.  Exits nonzero when any parity tier is violated;
 speedups are *reported*, never gated, because they depend on the
@@ -35,7 +35,7 @@ def main(argv=None) -> int:
 
     parser = make_bench_parser(__doc__.splitlines()[0], DEFAULT_OUT)
     parser.add_argument("--repeats", type=int, default=None,
-                        help="timing repeats per op (default: 3, quick: 2)")
+                        help="timing rounds per op (default: 25, quick: 3)")
     parser.add_argument("--size", type=int, default=None,
                         help="spatial workload size (default: 64, quick: 24)")
     parser.add_argument("--no-calibration", action="store_true",

@@ -1,9 +1,8 @@
 """Microbenchmark every registered kernel op on every backend.
 
 Produces ``BENCH_kernels.json`` (repo root by convention), the kernel
-sibling of ``BENCH_hotpaths.json``: same timing discipline (median-of-k
-after warmup via :func:`repro.parallel.hotpath_bench.median_seconds`),
-same host metadata, and a per-backend parity record per op at the tier
+sibling of ``BENCH_hotpaths.json``: the same host metadata, medians
+after a warmup, and a per-backend parity record per op at the tier
 :mod:`repro.backend.precision` assigns — ``fast`` must agree with
 ``reference`` within the dtype-aware ulp tolerance — re-proven on every
 run.  The payload also embeds one fresh
@@ -18,6 +17,8 @@ parity tier is violated (``parity_ok``).
 
 from __future__ import annotations
 
+import statistics
+import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,6 +131,30 @@ def _resolve_backends(backends: Optional[Sequence[str]]) -> List[str]:
     return ordered
 
 
+def _interleaved_seconds(runs: Dict[str, Callable[[], object]], repeats: int,
+                         ) -> Tuple[Dict[str, Dict], Dict[str, List[float]]]:
+    """Time every call in ``runs`` once per round, ``repeats`` rounds,
+    after one warmup round.
+
+    One round times each backend back to back, so a change in the
+    host's speed (a neighbour, a CPU state) lands on every backend of
+    that round rather than on whichever was timed during it.  Returns
+    each backend's median/min/max and its per-round times.
+    """
+    for run in runs.values():
+        run()
+    times: Dict[str, List[float]] = {b: [] for b in runs}
+    for _ in range(repeats):
+        for b, run in runs.items():
+            t0 = time.perf_counter()
+            run()
+            times[b].append(time.perf_counter() - t0)
+    stats = {b: {"median_s": statistics.median(ts), "min_s": min(ts),
+                 "max_s": max(ts), "repeats": repeats}
+             for b, ts in times.items()}
+    return stats, times
+
+
 def run_kernel_bench(
     quick: bool = False,
     repeats: Optional[int] = None,
@@ -143,16 +168,18 @@ def run_kernel_bench(
     (``reference``) is always included because parity and speedups are
     defined against it.  Every op runs under ``no_grad``, as a diagnosis
     runs it (under autograd ``fast`` sends deconvolutions to
-    ``reference``).  The payload's ``host`` record carries the core
-    count the speedups were measured on.  ``quick`` shrinks the
-    workload and repeats for CI smoke runs; the parity-tier checks are
-    identical in both modes.
+    ``reference``).  Backends are timed in turn within each of
+    ``repeats`` rounds; a speedup is the median of the rounds' paired
+    ratios, and ``speedup_spread`` holds their quartiles, so a speedup
+    whose spread covers 1.0 is not told from noise.  The payload's
+    ``host`` record carries the core count the speedups were measured
+    on.  ``quick`` shrinks the workload and repeats for CI smoke runs;
+    the parity-tier checks are identical in both modes.
     """
     from repro.backend.calibrate import calibrate_host
-    from repro.parallel.hotpath_bench import median_seconds
 
     if repeats is None:
-        repeats = 2 if quick else 3
+        repeats = 3 if quick else 25
     if size is None:
         size = 24 if quick else 64
     bench_backends = _resolve_backends(backends)
@@ -168,25 +195,32 @@ def run_kernel_bench(
             op = params["op"]
             baseline = run(BASELINE_BACKEND)
             entry: Dict = {"params": dict(params), "parity": {}}
-            for backend in bench_backends:
-                if backend not in known_backends(op):
-                    continue
+            timed = [b for b in bench_backends if b in known_backends(op)]
+            for backend in timed:
                 if backend != BASELINE_BACKEND:
                     tier = tier_for(backend)
                     ok = meets_tier(tier, baseline, run(backend))
                     entry["parity"][backend] = {"tier": tier, "ok": bool(ok)}
-                entry[backend] = median_seconds(lambda b=backend: run(b), repeats)
-            ref_s = entry[BASELINE_BACKEND]["median_s"]
-            entry["speedups"] = {
-                b: ref_s / entry[b]["median_s"]
-                for b in bench_backends if b in entry and b != BASELINE_BACKEND
-            }
+            stats, times = _interleaved_seconds(
+                {b: (lambda b=b: run(b)) for b in timed}, repeats)
+            entry.update(stats)
+            entry["speedups"], entry["speedup_spread"] = {}, {}
+            for b in timed:
+                if b == BASELINE_BACKEND:
+                    continue
+                # Each round's own ratio pairs two times taken moments
+                # apart; the ratios' quartiles are the speedup's noise.
+                ratios = [r / t for r, t in zip(times[BASELINE_BACKEND], times[b])]
+                q1, q2, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                              if len(ratios) > 1 else ratios * 3)
+                entry["speedups"][b] = q2
+                entry["speedup_spread"][b] = [q1, q3]
             ops[name] = entry
 
     parity_ok = all(p["ok"] for e in ops.values() for p in e["parity"].values())
     payload: Dict = {
         "bench": "kernels",
-        "schema": 6,
+        "schema": 7,
         "quick": quick,
         "backends": list(bench_backends),
         "baseline": BASELINE_BACKEND,
@@ -201,7 +235,7 @@ def run_kernel_bench(
         payload["calibrations"] = {}
         for backend in bench_backends:
             cal = calibrate_host(sizes=(16, 32) if quick else (32, 64, 96),
-                                 repeats=repeats, backend=backend)
+                                 repeats=2 if quick else 3, backend=backend)
             payload["calibrations"][backend] = cal.to_dict()
     return payload
 
@@ -217,7 +251,8 @@ def format_kernel_summary(payload: Dict) -> str:
     for op, e in sorted(payload["ops"].items()):
         parts = [f"{b} {e[b]['median_s'] * 1e3:.3f}ms"
                  for b in payload["backends"] if b in e]
-        speed = ", ".join(f"{b} x{s:.2f}" for b, s in e["speedups"].items())
+        speed = ", ".join("{} x{:.2f} [{:.2f}, {:.2f}]".format(
+            b, s, *e["speedup_spread"][b]) for b, s in e["speedups"].items())
         parity = ", ".join(
             f"{b}:{p['tier']}{'✓' if p['ok'] else '✗'}"
             for b, p in e["parity"].items())

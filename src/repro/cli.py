@@ -747,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "write BENCH_kernels.json")
     add_bench_arguments(pk, "BENCH_kernels.json")
     pk.add_argument("--repeats", type=int, default=None,
-                    help="timing repeats per op (default: 3, quick: 2)")
+                    help="timing rounds per op (default: 25, quick: 3)")
     pk.add_argument("--size", type=int, default=None,
                     help="spatial workload size (default: 64, quick: 24)")
     pk.add_argument("--no-calibration", action="store_true",

@@ -45,6 +45,9 @@ class ModelResidency:
         self.registry = registry
         self.swaps = 0
         self.evictions = 0
+        #: Bumped by every change to which models are resident where,
+        #: the state :meth:`load_penalty` reads.
+        self.version = 0
 
     def _count(self, name: str, n: int = 1) -> None:
         if self.registry is not None:
@@ -60,6 +63,7 @@ class ModelResidency:
             raise ValueError(f"device {spec.name!r} already tracked")
         self.capacity[spec.name] = spec.memory_gb
         self.resident[spec.name] = OrderedDict()
+        self.version += 1
 
     def used_gb(self, device_name: str) -> float:
         return sum(self.resident[device_name].values())
@@ -94,6 +98,7 @@ class ModelResidency:
         penalty = stage.load_time(device)
         if self.used_gb(device.name) + stage.space_gb <= cap:
             res[stage.model] = stage.space_gb
+        self.version += 1
         self.swaps += 1
         self.evictions += len(evicted)
         self._count(SWAP_COUNTER)

@@ -39,9 +39,9 @@ FLOAT32_PROB_TOL = 1e-4
 def median_seconds(fn: Callable[[], object], repeats: int, warmup: int = 1) -> Dict:
     """Median wall time of ``fn`` over ``repeats`` runs after ``warmup``.
 
-    Shared by every BENCH_*.json producer (hot paths, kernel bench) so
-    the timing discipline — warmup runs discarded, median-of-k reported
-    with min/max spread — stays uniform across benchmark artifacts.
+    Warmup runs are discarded and the median is reported with its
+    min/max spread; the kernel bench reports the same record, from
+    backends timed in turn within each round.
     """
     for _ in range(warmup):
         fn()

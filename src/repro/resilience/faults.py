@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -93,11 +93,27 @@ class BatchOutcome:
         return not self.fails
 
 
+def _uint32_words(n: int) -> List[int]:
+    """``n``'s 32-bit words, least significant first: how NumPy's
+    :class:`~numpy.random.SeedSequence` reads an integer's entropy."""
+    if n < 0:
+        raise ValueError("expected a non-negative integer seed")
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 class FaultInjector:
     """Deterministic per-(device, batch, attempt) fault decisions."""
 
     def __init__(self, config: FaultConfig, devices: Sequence[DeviceSpec]):
         self.config = config
+        # The seed's words once: each dispatch then seeds from a ready
+        # uint32 array, the same entropy ``default_rng([seed, ...])``
+        # builds from the list on every call.
+        self._seed_words = _uint32_words(int(config.seed))
         self.devices = list(devices)
         self._index = {d.name: i for i, d in enumerate(self.devices)}
         rng = np.random.default_rng([config.seed, 0xFA017])
@@ -148,6 +164,15 @@ class FaultInjector:
     def alive(self, device_name: str, now: float) -> bool:
         return now < self.crash_times[device_name]
 
+    def _uniforms(self, device_name: str, batch_id: int,
+                  attempt: int) -> np.ndarray:
+        """One dispatch's three uniforms: the first draws of
+        ``default_rng([seed, device index, batch_id, attempt])``."""
+        entropy = np.array(self._seed_words + [self._index[device_name],
+                                               batch_id, attempt], np.uint32)
+        return np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy))).random(3)
+
     def outcome(
         self,
         device: DeviceSpec,
@@ -162,11 +187,10 @@ class FaultInjector:
         if now >= crash_at:  # launched onto a corpse
             return BatchOutcome("dead", service_s, fails=True,
                                 fail_after_s=cfg.detection_s)
-        rng = np.random.default_rng(
-            [cfg.seed, self._index[device.name], batch_id, attempt])
         # Fixed draw count/order keeps the stream stable across config
         # changes to individual rates.
-        u_transient, u_straggler, u_reconfig = rng.random(3)
+        u_transient, u_straggler, u_reconfig = self._uniforms(
+            device.name, batch_id, attempt)
         service = service_s
         kind = "ok"
         if u_straggler < cfg.straggler_rate:

@@ -26,6 +26,7 @@ no direct ``record_success``/``record_failure`` calls from the engine
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -81,16 +82,34 @@ class CircuitBreaker:
         self.cooldown_s = self.config.cooldown_s
         self._probe_in_flight = False
         self.transitions: List[Tuple[float, str]] = []
+        #: Bumped by every change to what :meth:`allows` reads: the
+        #: state (with its ``opened_at`` / ``cooldown_s``) and the probe
+        #: flag (see :attr:`FleetHealth.version`).
+        self.version = 0
 
     def _set(self, state: BreakerState, now: float) -> None:
         if state is not self.state:
             previous = self.state
             self.state = state
+            self.version += 1
             self.transitions.append((now, state.value))
             if self.bus is not None:
                 self.bus.emit(now, "breaker_transition", self.name,
                               device=self.name, state=state.value,
                               previous=previous.value)
+
+    def _set_probe(self, in_flight: bool) -> None:
+        if in_flight is not self._probe_in_flight:
+            self._probe_in_flight = in_flight
+            self.version += 1
+
+    @property
+    def half_opens_at(self) -> float:
+        """When an OPEN breaker's cooldown ends (``inf`` otherwise): the
+        one change to :meth:`allows` that time alone brings."""
+        if self.state is BreakerState.OPEN and self.opened_at is not None:
+            return self.opened_at + self.cooldown_s
+        return math.inf
 
     # ------------------------------------------------------------------
     def allows(self, now: float) -> bool:
@@ -113,10 +132,10 @@ class CircuitBreaker:
     def begin_probe(self) -> None:
         """The engine dispatched the half-open probe batch."""
         if self.state is BreakerState.HALF_OPEN:
-            self._probe_in_flight = True
+            self._set_probe(True)
 
     def record_success(self, now: float) -> None:
-        self._probe_in_flight = False
+        self._set_probe(False)
         self.successes += 1
         self.consecutive_failures = 0
         if self.state is BreakerState.HALF_OPEN:
@@ -124,7 +143,7 @@ class CircuitBreaker:
             self._set(BreakerState.CLOSED, now)
 
     def record_failure(self, now: float) -> None:
-        self._probe_in_flight = False
+        self._set_probe(False)
         self.failures += 1
         self.consecutive_failures += 1
         if self.state is BreakerState.DEAD:
@@ -143,7 +162,7 @@ class CircuitBreaker:
         self._set(BreakerState.OPEN, now)
 
     def mark_dead(self, now: float) -> None:
-        self._probe_in_flight = False
+        self._set_probe(False)
         self._set(BreakerState.DEAD, now)
 
 
@@ -208,6 +227,20 @@ class FleetHealth:
     def unavailable(self, now: float) -> Set[str]:
         """Devices the scheduler must skip at ``now``."""
         return {n for n, b in self.breakers.items() if not b.allows(now)}
+
+    @property
+    def version(self) -> Tuple[int, int]:
+        """Changes whenever what :meth:`unavailable` reads changes: the
+        breaker set, or a breaker's state or probe flag."""
+        return len(self.breakers), sum(b.version for b in self.breakers.values())
+
+    @property
+    def half_opens_at(self) -> float:
+        """The earliest end of an OPEN breaker's cooldown (``inf`` if
+        none): until then :meth:`unavailable` changes only with
+        :attr:`version`."""
+        return min((b.half_opens_at for b in self.breakers.values()),
+                   default=math.inf)
 
     def dead(self) -> Set[str]:
         return {n for n, b in self.breakers.items()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dag.residency import EVICTION_COUNTER, SWAP_COUNTER
 from repro.resilience.faults import FAULT_KINDS
@@ -87,11 +87,14 @@ class DispatchController:
         self.loop = None
         self._backlog: "deque[Batch]" = deque()
         self._batchers: Dict[str, DynamicBatcher] = {}
+        #: The backlog head's last refusal: ``(pick state, deadline)``.
+        self._refusal: Optional[Tuple[tuple, float]] = None
 
     def begin_run(self, loop) -> None:
         """Bind a fresh event loop and reset per-run dispatch state."""
         self.loop = loop
         self._backlog = deque()
+        self._refusal = None
         batch_ids = itertools.count()  # per-run ids: faults key on them
         self._batchers = {s: DynamicBatcher(s, self.batch_policy, batch_ids)
                           for s in self.stages}
@@ -316,13 +319,50 @@ class DispatchController:
             self.emit(now, "backlog", stage=batch.stage, size=len(batch),
                       depth=len(self._backlog))
 
+    def _pick_state(self, batch: Batch) -> tuple:
+        """Everything but ``now`` that a placement of ``batch`` reads:
+        the batch (its exclusions only change with its attempt) and the
+        versions of the fleet, its breakers and DAG residency."""
+        return (batch.batch_id, batch.attempt, len(batch),
+                self.scheduler.version,
+                self.health.version if self.health is not None else None,
+                self.dag.residency.version if self.dag is not None else None)
+
+    def refusal_holds(self, batch: Batch, now: float) -> bool:
+        """Would re-pricing the backlog head ``batch`` refuse again?
+
+        True while nothing a placement reads has changed since its last
+        refusal (:meth:`_pick_state`) and ``now`` is before that
+        refusal's deadline.  With the state fixed, time alone cannot
+        turn a refusal into a placement: "no free slot" stays true, and
+        in a lookahead refusal the free candidates' delays are constant
+        while the best delay, a busy worker's, can only fall.  The
+        deadline covers the two exceptions: an OPEN breaker's cooldown
+        ending (its device becomes eligible), and a free worker whose
+        ``free_at`` is still ahead (a warm-up hold, or a second slot),
+        whose delay falls with time too.
+        """
+        return (self._refusal is not None and now < self._refusal[1]
+                and self._refusal[0] == self._pick_state(batch))
+
     def pump_backlog(self, now: float) -> None:
+        """Dispatch backlogged batches in order until the head is refused.
+
+        Timeout sheds on the head run first, at every pump; a head whose
+        refusal still holds (:meth:`refusal_holds`) is not re-priced.
+        """
         while self._backlog:
             batch = self.lifecycle.shed_expired(self._backlog[0], now)
             if not batch.requests:
                 self._backlog.popleft()
                 continue
+            if self.refusal_holds(batch, now):
+                return
             if not self.try_dispatch(batch, now):
+                deadline = self.scheduler.warm_until(now)
+                if self.health is not None:
+                    deadline = min(deadline, self.health.half_opens_at)
+                self._refusal = (self._pick_state(batch), deadline)
                 return
             self._backlog.popleft()
 

@@ -73,10 +73,14 @@ class ScanRequest:
         so hashing the descriptor is equivalent to hashing the voxels —
         two requests with equal keys carry byte-identical scans (repeat
         scans of the same patient), which is what the result cache keys
-        on.
+        on.  Memoized on the request like :meth:`materialize`'s volume.
         """
-        tag = f"{self.seed}:{self.size}:{self.slices}:{int(self.covid)}"
-        return hashlib.sha1(tag.encode()).hexdigest()[:16]
+        cached = getattr(self, "_content_key", None)
+        if cached is None:
+            tag = f"{self.seed}:{self.size}:{self.slices}:{int(self.covid)}"
+            cached = hashlib.sha1(tag.encode()).hexdigest()[:16]
+            object.__setattr__(self, "_content_key", cached)
+        return cached
 
     def materialize(self) -> np.ndarray:
         """The (slices, size, size) HU volume for this request.

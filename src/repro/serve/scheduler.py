@@ -19,8 +19,9 @@ scheduler enforces it and keeps per-device accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.hetero.device import DEVICES, DeviceSpec, get_device
 from repro.hetero.perfmodel import PerfModel
@@ -198,6 +199,9 @@ class DeviceWorker:
     #: device-hour billing window.
     provisioned_at: float = 0.0
     retired_at: Optional[float] = None
+    #: Bumped by every change to ``in_flight`` or ``free_at``, the
+    #: worker state a pick reads (see :attr:`FleetScheduler.version`).
+    version: int = 0
 
     def billed_s(self, makespan: float) -> float:
         """Seconds of provisioned (billable) time within the run.
@@ -225,6 +229,7 @@ class DeviceWorker:
         if not self.available:
             raise RuntimeError(f"{self.spec.name}: no free slot")
         self.in_flight += 1
+        self.version += 1
         self.max_in_flight = max(self.max_in_flight, self.in_flight)
         self.busy_s += service_s
         done = now + service_s
@@ -235,6 +240,7 @@ class DeviceWorker:
         if self.in_flight <= 0:
             raise RuntimeError(f"{self.spec.name}: completion without dispatch")
         self.in_flight -= 1
+        self.version += 1
         self.batches_done += 1
         self.requests_done += len(batch)
 
@@ -243,6 +249,7 @@ class DeviceWorker:
         if self.in_flight <= 0:
             raise RuntimeError(f"{self.spec.name}: failure without dispatch")
         self.in_flight -= 1
+        self.version += 1
         self.batches_failed += 1
 
 
@@ -275,6 +282,28 @@ class FleetScheduler:
         self.extra_delay = extra_delay
         self.retired: List[DeviceWorker] = []
         self._rr_index = 0
+        self._roster_changes = 0  # add_worker / retire_worker calls
+
+    @property
+    def version(self) -> Tuple[int, int]:
+        """Changes whenever the fleet state :meth:`pick` reads changes:
+        the roster, or a worker's ``in_flight`` or ``free_at``.
+
+        Every counter only grows, so an equal version means that state
+        is unchanged (the backlog memo of
+        :meth:`repro.serve.dispatch.DispatchController.pump_backlog`).
+        """
+        return self._roster_changes, sum(w.version for w in self.workers)
+
+    def warm_until(self, now: float) -> float:
+        """The earliest ``free_at`` after ``now`` of a worker with a free
+        slot (a new device's warm-up hold, or a second slot), or ``inf``.
+
+        From then on, with the fleet state unchanged, every free
+        worker's delay in :meth:`pick` is constant.
+        """
+        return min((w.free_at for w in self.workers
+                    if w.available and w.free_at > now), default=math.inf)
 
     @property
     def all_workers(self) -> List[DeviceWorker]:
@@ -297,6 +326,7 @@ class FleetScheduler:
                               else self.workers[0].slots if self.workers else 1,
                               provisioned_at=now, free_at=now + warmup_s)
         self.workers.append(worker)
+        self._roster_changes += 1
         return worker
 
     def retire_worker(self, name: str, now: float) -> DeviceWorker:
@@ -312,6 +342,7 @@ class FleetScheduler:
                                        f"{w.in_flight} batch(es) in flight")
                 w.retired_at = now
                 self.retired.append(self.workers.pop(i))
+                self._roster_changes += 1
                 return w
         raise KeyError(f"no active worker named {name!r}")
 

@@ -778,7 +778,7 @@ class TestKernelBench:
 
         payload = run_kernel_bench(quick=True, repeats=1, size=12,
                                    with_calibration=False)
-        assert payload["bench"] == "kernels" and payload["schema"] == 6
+        assert payload["bench"] == "kernels" and payload["schema"] == 7
         assert payload["backends"] == ["reference", "fast"]
         extra = {"maxpool_inference": "maxpool", "conv_pointwise": "conv",
                  "conv_stem": "conv"}
@@ -802,6 +802,8 @@ class TestKernelBench:
                     assert parity["ok"] is True, (op, backend)
                     assert parity["tier"] == "ulp"
             assert set(entry["speedups"]) == {"fast"}
+            lo, hi = entry["speedup_spread"]["fast"]
+            assert lo <= entry["speedups"]["fast"] <= hi
             assert payload["speedup_matrix"][op] == entry["speedups"]
         assert payload["host"]["cpu_count"] >= 1
         summary = format_kernel_summary(payload)

@@ -57,6 +57,18 @@ class TestFaultInjector:
             ob = b.outcome(MIXED[0], bid, 0.0, 1.0)
             assert oa == ob
 
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**70 + 3])
+    def test_draws_equal_the_list_seeded_generator(self, seed):
+        # Each dispatch seeds from the seed's 32-bit words, split once;
+        # its draws must be those of default_rng([seed, ...]).
+        inj = FaultInjector(FaultConfig(seed=seed), MIXED)
+        for index, device in enumerate(MIXED):
+            for batch_id, attempt in [(0, 0), (1, 0), (7, 3), (2**31, 1)]:
+                expected = np.random.default_rng(
+                    [seed, index, batch_id, attempt]).random(3)
+                got = inj._uniforms(device.name, batch_id, attempt)
+                assert np.array_equal(got, expected)
+
     def test_retry_attempt_gets_fresh_luck(self):
         cfg = FaultConfig(seed=1, transient_rate=0.5)
         inj = FaultInjector(cfg, MIXED)

@@ -110,6 +110,15 @@ class TestRequests:
         assert req(1, 0.0, seed=7).content_key != req(1, 0.0, seed=8).content_key
         assert req(1, 0.0, seed=7).content_key != req(1, 0.0, seed=7, covid=True).content_key
 
+    def test_content_key_is_memoized_and_unchanged(self):
+        r = req(1, 0.0, seed=7, size=16, slices=4, covid=True)
+        tag = "7:16:4:1"
+        key = hashlib.sha1(tag.encode()).hexdigest()[:16]
+        assert r.content_key == key
+        assert r.__dict__["_content_key"] == key
+        assert r.content_key is r.content_key
+        assert r == req(1, 0.0, seed=7, size=16, slices=4, covid=True)
+
     def test_materialize_matches_descriptor(self):
         r = req(0, 0.0, seed=5, size=16, slices=4)
         vol = r.materialize()
