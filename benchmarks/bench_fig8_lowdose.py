@@ -54,15 +54,16 @@ def test_fig8_lowdose_simulation(benchmark, results_dir):
     assert (low_hu - full_hu).std() > 10.0  # streaking/noise present in HU
 
 
-def test_fig8_lowdose_volume_fanout(benchmark):
-    """Volume-scale §3.1.2 chain across REPRO_BENCH_WORKERS processes.
+def test_fig8_lowdose_volume(benchmark):
+    """Volume-scale §3.1.2 chain, in one process.
 
-    Times :func:`simulate_low_dose_volume` at the conftest worker count
-    and re-asserts the repro.parallel contract: the fan-out output is
-    bit-identical to the serial one.
+    Times :func:`simulate_low_dose_volume` (one projection of the
+    volume, per-slice Poisson noise, one FBP of both arms) and asserts
+    that each slice equals :func:`simulate_low_dose_pair` on it bit for
+    bit, drawing from that slice's own seed.
     """
-    from conftest import BENCH_WORKERS
     from repro.data import simulate_low_dose_volume
+    from repro.parallel import spawn_seeds
 
     rng = np.random.default_rng(3)
     volume_mu = np.stack([
@@ -72,13 +73,14 @@ def test_fig8_lowdose_volume_fanout(benchmark):
     geometry = paper_geometry(scale=SIZE / 512.0)
     pixel_size = 350.0 / SIZE
 
-    def simulate(workers):
+    def simulate():
         return simulate_low_dose_volume(
-            volume_mu, geometry, blank_scan=200.0, pixel_size=pixel_size,
-            seed=11, workers=workers)
+            volume_mu, geometry, blank_scan=200.0, pixel_size=pixel_size, seed=11)
 
-    full, low = benchmark.pedantic(simulate, args=(BENCH_WORKERS,),
-                                   rounds=1, iterations=1)
-    serial_full, serial_low = simulate(1)
-    np.testing.assert_array_equal(full, serial_full)
-    np.testing.assert_array_equal(low, serial_low)
+    full, low = benchmark.pedantic(simulate, rounds=1, iterations=1)
+    for z, seed in enumerate(spawn_seeds(11, len(volume_mu))):
+        full_z, low_z, _ = simulate_low_dose_pair(
+            volume_mu[z], geometry, blank_scan=200.0, pixel_size=pixel_size,
+            rng=np.random.default_rng(seed))
+        np.testing.assert_array_equal(full[z], full_z)
+        np.testing.assert_array_equal(low[z], low_z)

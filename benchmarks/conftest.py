@@ -36,11 +36,6 @@ DIAG_SIZE = 32              # in-plane size of diagnosis volumes
 DIAG_SLICES = 16
 DIAG_NOISE_SIGMA = 100.0    # HU std of the low-dose surrogate noise
 
-#: Processes for dataset-simulation fan-out (repro.parallel).  Results
-#: are bit-identical for every worker count, so raising this only
-#: changes wall-clock time; opt in via REPRO_BENCH_WORKERS=N.
-BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-
 
 def tiny_ddnet(seed=0):
     """The DDnet architecture at CPU-affordable width/size."""
@@ -82,7 +77,7 @@ def trained_enhancement():
     """DDnet trained on Siddon→Poisson→FBP low/full-dose pairs."""
     rng = np.random.default_rng(42)
     lows, fulls = make_enhancement_pairs(24, size=ENH_SIZE, blank_scan=ENH_BLANK_SCAN,
-                                         rng=rng, workers=BENCH_WORKERS)
+                                         rng=rng)
     ai = EnhancementAI(model=tiny_ddnet(), lr=2e-3, msssim_levels=1, msssim_window=5)
     ai.train(EnhancementDataset(lows[:18], fulls[:18]), epochs=20, batch_size=2, seed=1)
     return EnhancementArtifacts(ai, lows[:18], fulls[:18], lows[18:], fulls[18:])

@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """Hot-path perf-regression harness (standalone, not a pytest bench).
 
-Times the three `repro.parallel` hot paths — §3.1.2 dataset
-simulation, data-parallel ``score_batch``, and the float32 inference
-fast path — serial vs. parallel, and writes ``BENCH_hotpaths.json``
-at the repo root.  Exits nonzero when any parity check fails (parallel
+Times the two inference hot paths — data-parallel ``score_batch``
+(serial vs. a worker sweep) and float32 inference against float64 —
+and writes ``BENCH_hotpaths.json`` at the repo root.  Exits nonzero when any parity check fails (parallel
 not bit-identical to serial, or float32 drifting past tolerance);
 speedups are *reported*, never gated, because they depend on
 ``host.cpu_count``.

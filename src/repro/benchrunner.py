@@ -15,10 +15,10 @@ import argparse
 import os
 import platform
 import sys
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 __all__ = ["add_bench_arguments", "make_bench_parser", "finish_bench",
-           "host_info"]
+           "host_info", "payload_drift"]
 
 
 def add_bench_arguments(parser, default_out: str,
@@ -71,3 +71,34 @@ def finish_bench(payload: Dict[str, object], out: str,
               file=sys.stderr)
         return 1
     return 0
+
+
+def payload_drift(committed: Dict, fresh: Dict) -> List[str]:
+    """Every field where a fresh payload differs from the committed one.
+
+    Returns ``"path: committed -> fresh"`` lines, depth first, for
+    changed, added and removed fields.  The ``host`` record is skipped:
+    it describes the machine, not the result.
+    """
+    return _drift({k: v for k, v in committed.items() if k != "host"},
+                  {k: v for k, v in fresh.items() if k != "host"}, "")
+
+
+def _drift(committed, fresh, path: str) -> List[str]:
+    if isinstance(committed, dict) and isinstance(fresh, dict):
+        out: List[str] = []
+        for key in sorted(set(committed) | set(fresh)):
+            where = f"{path}.{key}" if path else key
+            if key in committed and key in fresh:
+                out.extend(_drift(committed[key], fresh[key], where))
+            else:
+                out.append(f"{where}: {committed.get(key, '<absent>')!r} -> "
+                           f"{fresh.get(key, '<absent>')!r}")
+        return out
+    if (isinstance(committed, list) and isinstance(fresh, list)
+            and len(committed) == len(fresh)):
+        return [line for i, (a, b) in enumerate(zip(committed, fresh))
+                for line in _drift(a, b, f"{path}[{i}]")]
+    if type(committed) is not type(fresh) or committed != fresh:
+        return [f"{path}: {committed!r} -> {fresh!r}"]
+    return []

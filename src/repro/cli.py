@@ -30,8 +30,8 @@ code:
   traces (including combined train-then-serve runs) render the
   membership/loss/comm accounting from :func:`repro.distributed.train_block`,
 - ``bench``     — performance harnesses: ``bench hotpaths`` times the
-  ``repro.parallel`` hot paths (dataset simulation, batch scoring,
-  float32 inference) and writes ``BENCH_hotpaths.json``;
+  inference hot paths (batch scoring across worker processes, float32
+  inference) and writes ``BENCH_hotpaths.json``;
   ``bench kernels`` times every registered kernel op on the selected
   backends (``--backends reference,fast``), re-proves each
   backend's parity tier, and writes ``BENCH_kernels.json``;
@@ -53,9 +53,9 @@ backend; ``serve --backend fast --calibrated`` microbenchmarks this
 host's kernels *under that backend* first and schedules on the
 measured (calibrated, backend-specific) service-time model.
 
-``simulate`` and ``serve`` accept ``--workers N`` to fan work across
-``N`` processes over shared memory; results are bit-identical to
-serial for every worker count.
+``serve --workers N`` fans batch verification across ``N`` processes
+over shared memory, whole scans per process; results are bit-identical
+to serial for every worker count.  ``simulate`` runs in one process.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _cmd_simulate(args) -> int:
 
     lows, fulls = make_enhancement_pairs(
         args.count, size=args.size, blank_scan=args.blank_scan,
-        rng=np.random.default_rng(args.seed), workers=args.workers,
+        rng=np.random.default_rng(args.seed),
     )
     np.savez_compressed(args.output, low_dose=lows, full_dose=fulls)
     print(f"wrote {args.count} pairs ({args.size}x{args.size}, "
@@ -585,9 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blank-scan", type=float, default=1e4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default="pairs.npz")
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes for the simulation fan-out "
-                        "(bit-identical to serial)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("tables", help="print the performance-model tables")
@@ -732,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="performance harnesses")
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
     pb = bench_sub.add_parser(
-        "hotpaths", help="time the repro.parallel hot paths and write "
+        "hotpaths", help="time the inference hot paths and write "
                          "BENCH_hotpaths.json")
     add_bench_arguments(pb, "BENCH_hotpaths.json",
                         quick_help="small problem sizes for CI smoke runs")

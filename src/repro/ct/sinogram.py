@@ -14,10 +14,10 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from repro.ct.fbp import FilterName, backprojection_operator, fbp_reconstruct
+from repro.ct.fbp import FilterName, fbp_reconstruct
 from repro.ct.geometry import FanBeamGeometry, ParallelBeamGeometry
 from repro.ct.noise import PAPER_BLANK_SCAN, add_poisson_noise
-from repro.ct.projector import forward_project, projection_operator
+from repro.ct.projector import forward_project
 
 Geometry = Union[FanBeamGeometry, ParallelBeamGeometry]
 
@@ -44,18 +44,6 @@ class Sinogram:
 
     def reconstruct(self, image_size: int, filter_window: FilterName = "ramp") -> np.ndarray:
         return fbp_reconstruct(self.data, self.geometry, image_size, self.pixel_size, filter_window)
-
-
-def build_geometry_tables(geometry: Geometry, image_size: int, pixel_size: float = 1.0) -> None:
-    """Build (or fetch) the cached scan-geometry operators.
-
-    These are the Siddon projection of :func:`forward_project` and the
-    back projection of :func:`fbp_reconstruct` for square
-    ``image_size²`` slices.  Volume simulations call this before forking
-    workers, so every worker inherits the parent's operators.
-    """
-    projection_operator(geometry, (image_size, image_size), pixel_size)
-    backprojection_operator(geometry, image_size, pixel_size)
 
 
 def simulate_low_dose_pair(

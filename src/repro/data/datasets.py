@@ -17,7 +17,6 @@ is lazy — a :class:`SyntheticSource` materializes scans on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -25,14 +24,12 @@ import numpy as np
 from repro.ct.geometry import FanBeamGeometry, paper_geometry
 from repro.ct.hounsfield import hu_to_mu, mu_to_hu, normalize_unit
 from repro.ct.noise import PAPER_BLANK_SCAN
-from repro.ct.sinogram import build_geometry_tables, simulate_low_dose_pair
+from repro.ct.sinogram import simulate_low_dose_pair
 from repro.data.phantom import ChestPhantomConfig, chest_slice
 from repro.data.phantom3d import chest_volume
 from repro.data.registry import DATA_SOURCES
 from repro.nn.data import Dataset
-from repro.parallel.pool import parallel_map
 from repro.parallel.seeding import derive_item_seeds
-from repro.parallel.shm import ShmArray, shm_scope
 
 
 @dataclass
@@ -99,24 +96,15 @@ def lidc(num_scans: Optional[int] = 8, **kw) -> SyntheticSource:
 # Enhancement pairs (low-dose / full-dose), §3.1.2
 # ---------------------------------------------------------------------------
 def _render_enhancement_pair(
-    item: Tuple[int, int],
+    seed: int,
     config: ChestPhantomConfig,
     geometry: FanBeamGeometry,
     blank_scan: float,
     pixel_size: float,
     covid_fraction: float,
     physics: bool,
-    lows: ShmArray,
-    fulls: ShmArray,
-) -> int:
-    """Simulate one (low, full) pair into the shared output arrays.
-
-    One work item of the dataset-simulation fan-out.  All randomness
-    comes from the per-item ``seed``, so the result is independent of
-    which process runs it and of how items are chunked.
-    """
-    i, seed = item
-    size = config.size
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One (low, full) pair normalized to [0, 1], from its own ``seed``."""
     slice_rng = np.random.default_rng(seed)
     img_hu, masks = chest_slice(config, slice_rng, return_masks=True)
     if slice_rng.random() < covid_fraction and masks["lungs"].any():
@@ -132,19 +120,9 @@ def _render_enhancement_pair(
         low_hu = mu_to_hu(low_mu)
     else:
         full_hu = img_hu
-        # Image-space surrogate: white noise shaped by a radial
-        # high-pass (the statistics FBP imparts to Poisson noise).
-        noise = slice_rng.normal(0.0, 1.0, size=(size, size))
-        f = np.fft.fft2(noise)
-        fy = np.fft.fftfreq(size)[:, None]
-        fx = np.fft.fftfreq(size)[None, :]
-        shaped = np.real(np.fft.ifft2(f * np.sqrt(np.hypot(fy, fx))))
-        shaped /= shaped.std() + 1e-12
         sigma_hu = 80.0 * np.sqrt(PAPER_BLANK_SCAN / blank_scan) / 10.0
-        low_hu = img_hu + shaped * sigma_hu
-    fulls.asarray()[i, 0] = normalize_unit(full_hu)
-    lows.asarray()[i, 0] = normalize_unit(low_hu)
-    return i
+        low_hu = img_hu + fbp_shaped_noise(img_hu.shape, slice_rng) * sigma_hu
+    return normalize_unit(low_hu), normalize_unit(full_hu)
 
 
 def make_enhancement_pairs(
@@ -155,8 +133,6 @@ def make_enhancement_pairs(
     covid_fraction: float = 0.5,
     physics: bool = True,
     rng=None,
-    workers: Optional[int] = 1,
-    bus=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Build (low_dose, full_dose) slice pairs normalized to [0, 1].
 
@@ -166,13 +142,9 @@ def make_enhancement_pairs(
     the image with FBP-shaped correlated noise directly in image space,
     for tests that need many pairs cheaply.
 
-    ``workers=N`` fans the per-slice simulations across ``N`` processes
-    (:mod:`repro.parallel`), the pair arrays living in shared memory so
-    nothing is pickled.  The per-item seeds are drawn from ``rng`` up
-    front exactly as the serial loop draws them, so the output is
-    **bit-identical** for every worker count — including the historical
-    ``workers=1`` path.  Pass ``bus`` (an
-    :class:`~repro.telemetry.EventBus`) to record chunk spans.
+    Each pair draws only from its own seed, and the seeds are drawn
+    from ``rng`` up front (:func:`~repro.parallel.derive_item_seeds`),
+    so pair ``i`` is the same whatever ``num_pairs`` is.
 
     Returns arrays of shape (num_pairs, 1, size, size).
     """
@@ -185,21 +157,12 @@ def make_enhancement_pairs(
     # hence the photon statistics.
     pixel_size = 350.0 / size
     config = ChestPhantomConfig(size=size, vessel_count=10)
-    seeds = derive_item_seeds(rng, num_pairs)
-    if physics:
-        build_geometry_tables(geometry, size, pixel_size)  # before the fork
-    with shm_scope() as scope:
-        lows = scope.create((num_pairs, 1, size, size), np.float64)
-        fulls = scope.create((num_pairs, 1, size, size), np.float64)
-        render = partial(
-            _render_enhancement_pair,
-            config=config, geometry=geometry, blank_scan=blank_scan,
-            pixel_size=pixel_size, covid_fraction=covid_fraction,
-            physics=physics, lows=lows, fulls=fulls,
-        )
-        parallel_map(render, list(enumerate(seeds)), workers=workers,
-                     bus=bus, source="repro.data.simulate")
-        return lows.copy(), fulls.copy()
+    lows = np.empty((num_pairs, 1, size, size))
+    fulls = np.empty_like(lows)
+    for i, seed in enumerate(derive_item_seeds(rng, num_pairs)):
+        lows[i, 0], fulls[i, 0] = _render_enhancement_pair(
+            seed, config, geometry, blank_scan, pixel_size, covid_fraction, physics)
+    return lows, fulls
 
 
 class EnhancementDataset(Dataset):

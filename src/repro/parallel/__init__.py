@@ -1,22 +1,23 @@
-"""repro.parallel — shared-memory multiprocess fan-out for the hot paths.
+"""repro.parallel — shared-memory multiprocess fan-out for batch inference.
 
 The paper accelerates in two places: multi-GPU data parallelism for
 training (§4.1, Table 3) and a heterogeneous device fleet for
 inference (§4.2, Tables 4–7).  This package is the CPU-process
-analogue used by the reproduction's real numeric hot paths:
+analogue for the one hot path where a work item is large enough to pay
+for a process: a whole-scan diagnosis.
 
 - :mod:`repro.parallel.shm` — picklable :class:`ShmArray` handles so
-  volumes and sinograms cross process boundaries without serialization,
+  volumes cross process boundaries without serialization,
 - :mod:`repro.parallel.pool` — deterministic chunking
-  (:func:`chunk_indices`), ordered :func:`parallel_map`, and warm
-  :class:`ProcessPool` replicas,
+  (:func:`chunk_indices`) and ordered :func:`parallel_map`, whose
+  ``initializer`` gives each worker a warm replica,
 - :mod:`repro.parallel.seeding` — per-item
-  :class:`~numpy.random.SeedSequence` spawning so parallel results are
-  bit-identical to serial ones for the same seed.
+  :class:`~numpy.random.SeedSequence` seeding, so an item's draws do
+  not depend on how items are batched.
 
-Consumers: ``repro.data`` dataset simulation, the
-``ComputeCovid19Plus`` batch-inference fast path, and the
-``benchmarks/perf`` regression harness.
+Consumers: ``ComputeCovid19Plus.score_batch`` / ``diagnose_batch``
+and serving verification fan out whole scans; ``repro.data`` seeds its
+slices here and runs in one process (docs/performance.md says why).
 """
 
 from repro.parallel.hotpath_bench import (
@@ -26,17 +27,15 @@ from repro.parallel.hotpath_bench import (
 )
 from repro.parallel.pool import (
     PARALLEL_SOURCE,
-    ProcessPool,
     chunk_indices,
     parallel_map,
     resolve_workers,
 )
-from repro.parallel.seeding import derive_item_seeds, spawn_rngs, spawn_seeds
+from repro.parallel.seeding import derive_item_seeds, spawn_seeds
 from repro.parallel.shm import ShmArray, shm_scope
 
 __all__ = [
     "PARALLEL_SOURCE",
-    "ProcessPool",
     "ShmArray",
     "chunk_indices",
     "derive_item_seeds",
@@ -45,7 +44,6 @@ __all__ = [
     "resolve_workers",
     "run_hotpath_bench",
     "shm_scope",
-    "spawn_rngs",
     "spawn_seeds",
     "write_bench_json",
 ]

@@ -1,12 +1,10 @@
-"""Perf-regression harness for the three `repro.parallel` hot paths.
+"""Perf-regression harness for the two inference hot paths.
 
-Times, serial vs. parallel (median-of-k with warmup, worker-count
-sweep):
+Times, median-of-k with warmup:
 
-1. low-dose dataset simulation (:func:`repro.data.make_enhancement_pairs`
-   with the full §3.1.2 physics chain),
-2. batch inference (:meth:`ComputeCovid19Plus.score_batch`),
-3. float32 inference, the framework default, against an explicit
+1. batch inference (:meth:`ComputeCovid19Plus.score_batch`), serial
+   vs. a worker-count sweep,
+2. float32 inference, the framework default, against an explicit
    float64 copy (:meth:`ComputeCovid19Plus.to_dtype`).
 
 Alongside every timing it re-checks the correctness contract — parallel
@@ -58,41 +56,9 @@ def median_seconds(fn: Callable[[], object], repeats: int, warmup: int = 1) -> D
     }
 
 
-def _bench_dataset_simulation(workers: Iterable[int], repeats: int,
-                              num_pairs: int, size: int) -> Dict:
-    """Hot path 1: §3.1.2 low-dose pair simulation over shared memory."""
-    from repro.data import make_enhancement_pairs
-
-    def run(w: int):
-        return make_enhancement_pairs(
-            num_pairs, size=size, physics=True,
-            rng=np.random.default_rng(0), workers=w)
-
-    ref_lows, ref_fulls = run(1)
-    result: Dict = {
-        "params": {"num_pairs": num_pairs, "size": size, "physics": True},
-        "serial": median_seconds(lambda: run(1), repeats),
-        "workers": {},
-        "parity_ok": True,
-    }
-    serial_s = result["serial"]["median_s"]
-    for w in workers:
-        if w <= 1:
-            continue
-        lows, fulls = run(w)
-        parity = (np.array_equal(ref_lows, lows)
-                  and np.array_equal(ref_fulls, fulls))
-        timing = median_seconds(lambda: run(w), repeats)
-        timing["speedup"] = serial_s / timing["median_s"]
-        timing["bit_identical_to_serial"] = parity
-        result["workers"][str(w)] = timing
-        result["parity_ok"] &= parity
-    return result
-
-
 def _bench_batch_scoring(workers: Iterable[int], repeats: int,
                          num_volumes: int, size: int, num_slices: int) -> Dict:
-    """Hot path 2: data-parallel ``score_batch`` with warm replicas."""
+    """Hot path 1: data-parallel ``score_batch`` with warm replicas."""
     from repro.data import chest_volume
     from repro.pipeline import ComputeCovid19Plus
 
@@ -126,7 +92,7 @@ def _bench_batch_scoring(workers: Iterable[int], repeats: int,
 
 
 def _bench_float32_inference(repeats: int, size: int, num_slices: int) -> Dict:
-    """Hot path 3: float32 inference (the framework default) vs float64."""
+    """Hot path 2: float32 inference (the framework default) vs float64."""
     from repro.data import chest_volume
     from repro.pipeline import ClassificationAI, ComputeCovid19Plus, EnhancementAI
 
@@ -162,7 +128,7 @@ def run_hotpath_bench(
     workers: Sequence[int] = DEFAULT_WORKERS,
     repeats: Optional[int] = None,
 ) -> Dict:
-    """Run all three hot-path benchmarks; returns the JSON-ready payload.
+    """Run both hot-path benchmarks; returns the JSON-ready payload.
 
     ``quick`` shrinks problem sizes and repeats for CI smoke runs; the
     parity checks are identical in both modes.
@@ -170,22 +136,19 @@ def run_hotpath_bench(
     if repeats is None:
         repeats = 2 if quick else 3
     if quick:
-        sim = dict(num_pairs=6, size=32)
         score = dict(num_volumes=4, size=16, num_slices=16)
         fp32 = dict(size=16, num_slices=16)
     else:
-        sim = dict(num_pairs=16, size=48)
         score = dict(num_volumes=8, size=16, num_slices=16)
         fp32 = dict(size=32, num_slices=16)
 
     paths = {
-        "dataset_simulation": _bench_dataset_simulation(workers, repeats, **sim),
         "batch_scoring": _bench_batch_scoring(workers, repeats, **score),
         "float32_inference": _bench_float32_inference(repeats, **fp32),
     }
     return {
         "bench": "hotpaths",
-        "schema": 1,
+        "schema": 2,
         "quick": quick,
         "workers_swept": [int(w) for w in workers],
         "host": host_info(),
@@ -207,13 +170,12 @@ def format_bench_summary(payload: Dict) -> str:
         f"hot-path benchmark ({'quick' if payload['quick'] else 'full'}; "
         f"cpu_count={payload['host']['cpu_count']})",
     ]
-    for name in ("dataset_simulation", "batch_scoring"):
-        p = payload["paths"][name]
-        lines.append(f"  {name}: serial {p['serial']['median_s']:.3f}s")
-        for w, t in sorted(p["workers"].items(), key=lambda kv: int(kv[0])):
-            lines.append(
-                f"    workers={w}: {t['median_s']:.3f}s "
-                f"(x{t['speedup']:.2f}, bit-identical={t['bit_identical_to_serial']})")
+    p = payload["paths"]["batch_scoring"]
+    lines.append(f"  batch_scoring: serial {p['serial']['median_s']:.3f}s")
+    for w, t in sorted(p["workers"].items(), key=lambda kv: int(kv[0])):
+        lines.append(
+            f"    workers={w}: {t['median_s']:.3f}s "
+            f"(x{t['speedup']:.2f}, bit-identical={t['bit_identical_to_serial']})")
     f = payload["paths"]["float32_inference"]
     lines.append(
         f"  float32_inference: fp64 {f['float64']['median_s']:.3f}s, "

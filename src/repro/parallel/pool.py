@@ -1,4 +1,4 @@
-"""Deterministic process-pool fan-out: chunking, mapping, warm workers.
+"""Deterministic process fan-out: chunking and ordered mapping.
 
 ``parallel_map`` is the one primitive every hot path shares: split the
 item list into contiguous chunks (:func:`chunk_indices`), run each
@@ -28,7 +28,7 @@ import os
 import time
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-__all__ = ["chunk_indices", "resolve_workers", "parallel_map", "ProcessPool"]
+__all__ = ["chunk_indices", "resolve_workers", "parallel_map"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -81,69 +81,6 @@ def _run_chunk(fn, chunk):
     return results, t0, time.perf_counter()
 
 
-class ProcessPool:
-    """A warm worker pool for repeated fan-outs over the same state.
-
-    Thin wrapper over :class:`multiprocessing.pool.Pool` that adds the
-    ordered-chunk mapping and telemetry spans of :func:`parallel_map`.
-    With the ``fork`` start method the ``initializer`` (and anything it
-    closes over — e.g. a trained framework) is inherited, not pickled,
-    so each worker holds a warm model replica after the first task.
-    """
-
-    def __init__(self, workers: Optional[int] = None, initializer=None,
-                 initargs: tuple = ()):
-        self.workers = resolve_workers(workers)
-        self._pool = _mp_context().Pool(self.workers, initializer, initargs)
-
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Sequence[T],
-        chunks: Optional[int] = None,
-        bus=None,
-        source: str = PARALLEL_SOURCE,
-    ) -> List[R]:
-        """Map ``fn`` over ``items`` in order, chunked across workers."""
-        items = list(items)
-        ranges = chunk_indices(len(items), chunks or self.workers)
-        t_base = time.perf_counter()
-        handles = [
-            self._pool.apply_async(_run_chunk, (fn, [items[i] for i in r]))
-            for r in ranges
-        ]
-        gathered = [h.get() for h in handles]
-        results: List[R] = []
-        for r, (chunk_results, t0, t1) in zip(ranges, gathered):
-            results.extend(chunk_results)
-            if bus is not None:
-                bus.emit(max(0.0, t1 - t_base), "span", source,
-                         name="parallel_chunk", t_start=max(0.0, t0 - t_base),
-                         duration_s=t1 - t0, chunk_start=r.start,
-                         chunk_size=len(r), workers=self.workers)
-        if bus is not None:
-            bus.emit(time.perf_counter() - t_base, "span", source,
-                     name="parallel_map", t_start=0.0,
-                     duration_s=time.perf_counter() - t_base,
-                     items=len(items), chunks=len(ranges),
-                     workers=self.workers)
-        return results
-
-    def close(self) -> None:
-        self._pool.close()
-        self._pool.join()
-
-    def terminate(self) -> None:
-        self._pool.terminate()
-        self._pool.join()
-
-    def __enter__(self) -> "ProcessPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def _serial_map(fn, items, bus, source) -> list:
     """The workers=1 arm: plain in-process map, same spans, same order."""
     t_base = time.perf_counter()
@@ -162,7 +99,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T],
     workers: Optional[int] = 1,
-    chunks: Optional[int] = None,
     bus=None,
     source: str = PARALLEL_SOURCE,
     initializer=None,
@@ -184,5 +120,29 @@ def parallel_map(
         if initializer is not None:
             initializer(*initargs)
         return _serial_map(fn, items, bus, source)
-    with ProcessPool(n_workers, initializer, initargs) as pool:
-        return pool.map(fn, items, chunks=chunks, bus=bus, source=source)
+    ranges = chunk_indices(len(items), n_workers)
+    pool = _mp_context().Pool(n_workers, initializer, initargs)
+    t_base = time.perf_counter()
+    try:
+        handles = [
+            pool.apply_async(_run_chunk, (fn, [items[i] for i in r]))
+            for r in ranges
+        ]
+        gathered = [h.get() for h in handles]
+    finally:
+        pool.close()
+        pool.join()
+    results: List[R] = []
+    for r, (chunk_results, t0, t1) in zip(ranges, gathered):
+        results.extend(chunk_results)
+        if bus is not None:
+            bus.emit(max(0.0, t1 - t_base), "span", source,
+                     name="parallel_chunk", t_start=max(0.0, t0 - t_base),
+                     duration_s=t1 - t0, chunk_start=r.start,
+                     chunk_size=len(r), workers=n_workers)
+    if bus is not None:
+        bus.emit(time.perf_counter() - t_base, "span", source,
+                 name="parallel_map", t_start=0.0,
+                 duration_s=time.perf_counter() - t_base,
+                 items=len(items), chunks=len(ranges), workers=n_workers)
+    return results

@@ -1,15 +1,13 @@
-"""Deterministic per-item RNG spawning for parallel fan-out.
+"""Deterministic per-item RNG seeding.
 
-The invariant every fan-out in this repo must keep: **the worker count
-is not part of the random state**.  Results for ``workers=4`` must be
-bit-identical to ``workers=1`` (and to the serial code path) for the
-same seed.
+The invariant: **an item's random stream depends on the item alone**,
+not on how many items are made, how they are batched, or which
+process computes them.  The volume simulations of :mod:`repro.data`
+give each slice its own stream this way, so a volume's slice equals
+the single-slice simulation bit for bit.
 
 The scheme is the one :class:`numpy.random.SeedSequence` was designed
-for: a root sequence spawns one independent child per *work item* (not
-per chunk and never per worker), so item *i* draws from the same
-stream no matter which process ends up computing it, how items are
-chunked, or in what order chunks retire.
+for: a root sequence spawns one independent child per *work item*.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-__all__ = ["spawn_seeds", "spawn_rngs", "derive_item_seeds"]
+__all__ = ["spawn_seeds", "derive_item_seeds"]
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -36,19 +34,13 @@ def spawn_seeds(seed: SeedLike, n: int) -> List[np.random.SeedSequence]:
     return _as_seed_sequence(seed).spawn(n)
 
 
-def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
-    """``n`` independent generators, one per work item."""
-    return [np.random.default_rng(s) for s in spawn_seeds(seed, n)]
-
-
 def derive_item_seeds(rng: np.random.Generator, n: int) -> Sequence[int]:
     """Draw ``n`` integer seeds from ``rng`` exactly as a serial loop would.
 
     For code that historically drew one seed per loop iteration from a
     caller-supplied generator (``rng.integers(0, 2**31)``), drawing the
     whole list up front consumes the identical stream — so pre-existing
-    serial outputs are preserved *and* the per-item seeds become
-    chunking-independent, which is what makes the parallel path
-    bit-identical.
+    serial outputs are preserved *and* each item draws from its own
+    seed alone.
     """
     return [int(rng.integers(0, 2**31)) for _ in range(n)]

@@ -7,9 +7,8 @@ dtype)`` — to an ndarray living in a ``multiprocessing.shared_memory``
 segment.  The handle crosses the process boundary through the task
 pipe (a few dozen bytes); the array itself never does.  Workers attach
 with :meth:`ShmArray.asarray` and read or write the segment in place,
-so both fan-out inputs (volumes, sinograms) and gathered outputs
-(reconstructions, masks) move at memory speed rather than pickle
-speed.
+so both fan-out inputs (scan volumes) and gathered outputs (segmented
+volumes, lung masks) move at memory speed rather than pickle speed.
 
 Ownership protocol: the creating process is the owner and must call
 :meth:`ShmArray.unlink` (or use :func:`shm_scope`) when the fan-out
@@ -21,7 +20,7 @@ handle is garbage collected.
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -52,10 +51,6 @@ class ShmArray:
 
     def __repr__(self) -> str:
         return f"ShmArray({self.name!r}, shape={self.shape}, dtype={self.dtype})"
-
-    @property
-    def nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -138,6 +133,3 @@ class shm_scope:
         for handle in self._handles:
             handle.unlink()
         self._handles.clear()
-
-    def __iter__(self) -> Iterator[ShmArray]:
-        return iter(self._handles)

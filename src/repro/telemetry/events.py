@@ -129,14 +129,29 @@ def export_jsonl(path: str, events: Sequence[TelemetryEvent]) -> int:
 
 
 def load_jsonl(path: str) -> List[TelemetryEvent]:
-    """Read a trace written by :func:`export_jsonl`."""
+    """Read a trace written by :func:`export_jsonl`.
+
+    A line that is not a JSON object, or lacks ``seq``, ``t`` or
+    ``kind``, raises :class:`ValueError` naming the file and the line.
+    """
     events: List[TelemetryEvent] = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            raw = json.loads(line)
+            where = f"{path}:{number}"
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: not a JSON line ({exc})") from None
+            if not isinstance(raw, dict):
+                raise ValueError(f"{where}: expected a JSON object, "
+                                 f"got {type(raw).__name__}")
+            missing = [k for k in ("seq", "t", "kind") if k not in raw]
+            if missing:
+                raise ValueError(f"{where}: event lacks field "
+                                 f"{', '.join(repr(k) for k in missing)}")
             events.append(TelemetryEvent(
                 seq=int(raw["seq"]), t=float(raw["t"]), kind=raw["kind"],
                 source=raw.get("source", ""), payload=raw.get("payload", {}),

@@ -156,6 +156,20 @@ class TestCli:
                     "cache_hits", "retries", "degraded_completed"):
             assert replay[key] == live[key], key
 
+    @pytest.mark.parametrize("bad_line, reason", (
+        ('{"t":1.0,"kind":"arrival"}', "lacks field 'seq'"),
+        ('{"seq":1,"t":1.0,"kind":', "not a JSON line"),
+    ), ids=("missing-seq", "broken-json"))
+    def test_trace_summary_refuses_malformed_trace(self, tmp_path, capsys,
+                                                   bad_line, reason):
+        trace_file = tmp_path / "bad.jsonl"
+        trace_file.write_text(
+            '{"seq":0,"t":0.0,"kind":"arrival","source":"s","payload":{}}\n'
+            + bad_line + "\n")
+        assert main(["trace", "summary", str(trace_file)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {trace_file}:2: " in err and reason in err
+
     def test_train_healthy_run(self, capsys):
         assert main(["train", "--ranks", "4", "--epochs", "2"]) == 0
         out = capsys.readouterr().out

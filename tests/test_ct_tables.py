@@ -27,7 +27,6 @@ from repro.ct import fbp, projector
 from repro.ct.fbp import backprojection_operator
 from repro.ct.projector import projection_operator, ray_extent
 from repro.ct.siddon import siddon_rays
-from repro.ct.sinogram import build_geometry_tables
 from repro.data import simulate_dose_fraction_volume, simulate_low_dose_volume
 from repro.parallel.seeding import spawn_seeds
 
@@ -288,7 +287,6 @@ def test_rebuilt_tables_are_bit_identical(geo):
 
 def test_table_bytes_at_benchmark_geometry():
     geo = paper_geometry(64 / 512)
-    build_geometry_tables(geo, 64, 350 / 64)
     project = projection_operator(geo, (64, 64), 350 / 64)
     back = backprojection_operator(geo, 64, 350 / 64)
     # 90 views × 128 rays by 64² pixels; two taps per pixel per view.
@@ -300,14 +298,17 @@ def test_table_bytes_at_benchmark_geometry():
     assert total == 14_775_192  # the figure docs/performance.md states
 
 
-def test_volume_simulation_builds_tables_before_forking():
+def test_volume_simulation_builds_operators_once_per_geometry():
     geo = ParallelBeamGeometry(num_views=12, num_detectors=25)
     volume = np.stack([phantom(16, seed) for seed in range(3)])
     clear_caches()
-    simulate_low_dose_volume(volume, geo, pixel_size=1.25, seed=2, workers=2)
-    # The workers fill no cache in this process; the parent built both.
-    assert projector._projection_cached.cache_info().currsize == 1
-    assert fbp._backprojection_cached.cache_info().currsize == 1
+    for seed in (2, 3):
+        simulate_low_dose_volume(volume, geo, pixel_size=1.25, seed=seed)
+        simulate_dose_fraction_volume(volume, geo, pixel_size=1.25, seed=seed)
+    # Four volumes, eight dose arms: one build of each operator.
+    for cached in (projector._projection_cached, fbp._backprojection_cached):
+        info = cached.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
 
 def _fbp_holding_every_buffer(sinogram, geo, n, pixel_size, window):
@@ -332,7 +333,7 @@ def test_fbp_releases_its_buffers_before_the_back_projection():
 
     geo = paper_geometry(64 / 512)
     pixel_size = 350 / 64
-    build_geometry_tables(geo, 64, pixel_size)
+    backprojection_operator(geo, 64, pixel_size)  # cached before the peak is read
     sino = np.random.default_rng(0).random((32, geo.num_views, geo.num_detectors))
     peaks, outs = [], []
     for run in (_fbp_holding_every_buffer, fbp_reconstruct):

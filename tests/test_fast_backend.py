@@ -580,3 +580,41 @@ class TestDtypePreservation:
         x = rng.normal(size=(1, 2, 4, 4)).astype(np.float16)
         out = dispatch("unpool", x, 2, backend="fast")
         assert out.dtype == np.float16
+
+
+class TestTrainedWeightsOnFast:
+    def test_trained_ddnet_replays_on_fast_within_its_tier(self, monkeypatch):
+        """Training runs on ``reference``, and a ``fast`` training step
+        routes nearly every conv there too; a ``no_grad`` replay of the
+        trained weights is what runs ``fast``'s own inference kernels."""
+        from repro.data import make_enhancement_pairs
+        from repro.data.datasets import EnhancementDataset
+        from repro.pipeline import EnhancementAI
+
+        # Unit-gain (Kaiming) weights, so an error in any conv reaches the
+        # output: at the default init_std of 0.01 a 1e-7 relative error in
+        # the FFT convs moved the output by only 1e-13, inside the tier.
+        model = DDnet(base_channels=8, growth=8, num_blocks=2, layers_per_block=2,
+                      init_std=None, rng=np.random.default_rng(3))
+        initial = {k: v.copy() for k, v in model.state_dict().items()}
+        lows, fulls = make_enhancement_pairs(2, size=16, physics=False,
+                                             rng=np.random.default_rng(4))
+        EnhancementAI(model=model, lr=1e-2, msssim_levels=1, msssim_window=5).train(
+            EnhancementDataset(lows, fulls), epochs=1, batch_size=1)
+        assert any(not np.array_equal(initial[k], v)
+                   for k, v in model.state_dict().items())
+        model.eval()
+
+        paths = []
+        real_route = fast_backend.route
+
+        def spy(*args, **kw):
+            paths.append(real_route(*args, **kw))
+            return paths[-1]
+
+        monkeypatch.setattr(fast_backend, "route", spy)
+        with no_grad():
+            fast = model.to_backend("fast")(Tensor(lows)).data
+            ref = model.to_backend("reference")(Tensor(lows)).data
+        assert {"fft", "gemm"} <= set(paths)
+        assert allclose_ulp(ref, fast)

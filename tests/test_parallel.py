@@ -1,5 +1,6 @@
-"""Tests for repro.parallel: chunking, shm transport, seeding, and the
-bit-identical serial/parallel contract on every wired hot path."""
+"""Tests for repro.parallel: chunking, shm transport, seeding, the
+bit-identical serial/parallel contract of batch inference, and the
+one-process data path's per-item oracles."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from repro.backend.precision import allclose_ulp
 from repro.ct.fbp import ramp_filter_1d
 from repro.ct.geometry import paper_geometry
 from repro.data import chest_volume, make_enhancement_pairs
+from repro.ct.sinogram import simulate_dose_fraction_pair, simulate_low_dose_pair
 from repro.data.preparation import (
     add_circular_boundary,
     prepare_scan,
+    remove_circular_boundary,
     simulate_dose_fraction_volume,
     simulate_low_dose_volume,
 )
@@ -21,7 +24,6 @@ from repro.parallel import (
     resolve_workers,
     run_hotpath_bench,
     shm_scope,
-    spawn_rngs,
     spawn_seeds,
 )
 from repro.pipeline import ComputeCovid19Plus
@@ -80,12 +82,6 @@ class TestSeeding:
         b = spawn_seeds(7, 5)
         for sa, sb in zip(a, b):
             assert sa.generate_state(4).tolist() == sb.generate_state(4).tolist()
-
-    def test_spawn_rngs_independent_streams(self):
-        draws = [r.random(3) for r in spawn_rngs(0, 4)]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert not np.allclose(draws[i], draws[j])
 
     def test_derive_item_seeds_matches_serial_loop(self):
         seeds = derive_item_seeds(np.random.default_rng(9), 6)
@@ -158,39 +154,55 @@ class TestParallelMap:
 
 
 class TestDatasetSimulationParity:
+    """The data path runs in one process; each output equals its serial
+    per-item oracle bit for bit."""
+
     @pytest.mark.parametrize("physics", (False, True))
-    def test_bit_identical_across_worker_counts(self, physics):
-        ref = make_enhancement_pairs(4, size=16, physics=physics,
-                                     rng=np.random.default_rng(7), workers=1)
-        for w in WORKER_COUNTS[1:]:
-            lows, fulls = make_enhancement_pairs(
-                4, size=16, physics=physics,
-                rng=np.random.default_rng(7), workers=w)
-            np.testing.assert_array_equal(ref[0], lows)
-            np.testing.assert_array_equal(ref[1], fulls)
+    def test_pairs_depend_only_on_their_item_seed(self, physics):
+        lows, fulls = make_enhancement_pairs(4, size=16, physics=physics,
+                                             rng=np.random.default_rng(7))
+        head = make_enhancement_pairs(2, size=16, physics=physics,
+                                      rng=np.random.default_rng(7))
+        np.testing.assert_array_equal(lows[:2], head[0])
+        np.testing.assert_array_equal(fulls[:2], head[1])
+        assert not np.shares_memory(lows, fulls)
 
     def test_simulate_low_dose_volume_parity(self):
         volume = np.clip(chest_volume(16, 4, rng=np.random.default_rng(2)),
                          0, None) / 10000.0
         geometry = paper_geometry(scale=0.05)
-        ref = simulate_low_dose_volume(volume, geometry, seed=5, workers=1)
-        for w in WORKER_COUNTS[1:]:
-            full, low = simulate_low_dose_volume(volume, geometry, seed=5, workers=w)
-            np.testing.assert_array_equal(ref[0], full)
-            np.testing.assert_array_equal(ref[1], low)
-        assert not np.array_equal(ref[0], ref[1])  # noise actually applied
+        full, low = simulate_low_dose_volume(volume, geometry, seed=5)
+        for z, seed in enumerate(spawn_seeds(5, 4)):
+            full_z, low_z, _ = simulate_low_dose_pair(
+                volume[z], geometry, blank_scan=1e6,
+                rng=np.random.default_rng(seed))
+            np.testing.assert_array_equal(full[z], full_z)
+            np.testing.assert_array_equal(low[z], low_z)
+        assert not np.array_equal(full, low)  # noise actually applied
+        # Two arrays, not views of one buffer: keeping the low-dose arm
+        # must not keep the full-dose arm alive.
+        assert low.base is None and full.base is None
+
+    def test_simulate_low_dose_volume_runs_in_one_process(self):
+        volume = np.zeros((2, 16, 16))
+        geometry = paper_geometry(scale=0.05)
+        with pytest.raises(ValueError, match="workers must be 1"):
+            simulate_low_dose_volume(volume, geometry, workers=2)
 
     def test_simulate_dose_fraction_volume_parity(self):
         volume = np.clip(chest_volume(16, 3, rng=np.random.default_rng(8)),
                          0, None) / 10000.0
         geometry = paper_geometry(scale=0.05)
-        ref = simulate_dose_fraction_volume(volume, geometry, seed=1, workers=1)
-        full, frac = simulate_dose_fraction_volume(volume, geometry, seed=1,
-                                                   workers=4)
-        np.testing.assert_array_equal(ref[0], full)
-        np.testing.assert_array_equal(ref[1], frac)
+        full, frac = simulate_dose_fraction_volume(volume, geometry, seed=1)
+        for z, seed in enumerate(spawn_seeds(1, 3)):
+            pair = simulate_dose_fraction_pair(volume[z], geometry,
+                                               full_blank_scan=1e6,
+                                               rng=np.random.default_rng(seed))
+            np.testing.assert_array_equal(full[z], pair[0])
+            np.testing.assert_array_equal(frac[z], pair[1])
         # the fractional-dose arm is strictly noisier than the full-dose arm
         assert frac.std() != full.std()
+        assert frac.base is None and full.base is None
 
     def test_simulate_low_dose_volume_validates_shape(self):
         geometry = paper_geometry(scale=0.05)
@@ -205,10 +217,41 @@ class TestDatasetSimulationParity:
             add_circular_boundary(rng.normal(0, 200, size=(24, 24)))
             for _ in range(6)
         ])
-        ref = prepare_scan(volume, min_slices=1, workers=1)
-        for w in WORKER_COUNTS[1:]:
-            np.testing.assert_array_equal(
-                ref, prepare_scan(volume, min_slices=1, workers=w))
+        np.testing.assert_array_equal(
+            prepare_scan(volume, min_slices=1),
+            np.stack([remove_circular_boundary(s) for s in volume]))
+
+
+class TestDataPathRejectsNonFinite:
+    """Each volume entry point refuses NaN and ±inf, naming itself, the
+    shape and the first bad index."""
+
+    @staticmethod
+    def _volume(bad):
+        volume = np.full((3, 16, 16), 0.02)
+        volume[1, 4, 7] = bad
+        volume[2, 0, 0] = bad
+        return volume
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf), ids=("nan", "inf", "-inf"))
+    @pytest.mark.parametrize("entry", ("simulate_low_dose_volume",
+                                       "simulate_dose_fraction_volume"))
+    def test_simulation(self, entry, bad):
+        simulate = {"simulate_low_dose_volume": simulate_low_dose_volume,
+                    "simulate_dose_fraction_volume": simulate_dose_fraction_volume}[entry]
+        with pytest.raises(ValueError) as info:
+            simulate(self._volume(bad), paper_geometry(scale=0.05))
+        message = str(info.value)
+        assert message.startswith(entry)
+        assert "(3, 16, 16)" in message and "(1, 4, 7)" in message
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf), ids=("nan", "inf", "-inf"))
+    def test_prepare_scan(self, bad):
+        with pytest.raises(ValueError) as info:
+            prepare_scan(self._volume(bad), min_slices=1)
+        message = str(info.value)
+        assert message.startswith("prepare_scan")
+        assert "(3, 16, 16)" in message and "(1, 4, 7)" in message
 
 
 class TestBatchInferenceParity:
@@ -343,9 +386,11 @@ class TestHotpathBench:
     def test_quick_bench_schema_and_parity(self):
         payload = run_hotpath_bench(quick=True, workers=(1, 2), repeats=1)
         assert payload["parity_ok"]
+        assert payload["schema"] == 2
         assert payload["host"]["cpu_count"] >= 1
-        sim = payload["paths"]["dataset_simulation"]
-        assert sim["workers"]["2"]["bit_identical_to_serial"]
-        assert sim["serial"]["median_s"] > 0
+        assert set(payload["paths"]) == {"batch_scoring", "float32_inference"}
+        scoring = payload["paths"]["batch_scoring"]
+        assert scoring["workers"]["2"]["bit_identical_to_serial"]
+        assert scoring["serial"]["median_s"] > 0
         fp32 = payload["paths"]["float32_inference"]
         assert fp32["prob_delta"] < 1e-4

@@ -11,6 +11,8 @@ to the live summary.
 import json
 import math
 
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,28 @@ class TestEventBus:
         export_jsonl(path, bus.events)
         (loaded,) = load_jsonl(path)
         assert loaded.payload == {"v": 0.25, "n": 3}
+
+    @staticmethod
+    def _trace_with(tmp_path, bad_line):
+        path = tmp_path / "bad.jsonl"
+        good = '{"seq":0,"t":0.0,"kind":"arrival","source":"s","payload":{}}'
+        path.write_text(f"{good}\n\n{bad_line}\n{good}\n")
+        return str(path)
+
+    def test_line_without_seq_names_file_line_and_field(self, tmp_path):
+        path = self._trace_with(tmp_path, '{"t":1.0,"kind":"arrival"}')
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}:3: .*'seq'"):
+            load_jsonl(path)
+
+    def test_broken_line_names_file_and_line(self, tmp_path):
+        path = self._trace_with(tmp_path, '{"seq":1,"t":1.0,"kind":')
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}:3: not a JSON line"):
+            load_jsonl(path)
+
+    def test_non_object_line_is_refused(self, tmp_path):
+        path = self._trace_with(tmp_path, "[1, 2]")
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}:3: expected a JSON object"):
+            load_jsonl(path)
 
 
 # ---------------------------------------------------------------------------
